@@ -21,7 +21,7 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-WORKLOADS = ("spanner_serve", "conn_serve", "durable_small")
+WORKLOADS = ("spanner_serve", "durable_small")
 
 
 def source_digest():

@@ -3,16 +3,16 @@
 
     python3 perfbench/selftest.py [--seconds 2]
 
-Runs every workload `perfbench/run.py` knows (those `BENCHMARK.json`
-lists, plus `conn_serve`) briefly, untraced and traced, and fails unless
+Runs every workload `perfbench/run.py` knows briefly, untraced and
+traced, and fails unless
 
 * each run exits 0 and its last stdout line is a result object with
   exactly the keys `correct`, `attempted`, `failed`, `metrics`;
 * every correctness check passed (`correct` true, `failed` 0);
 * the emitted metric names and units match `BENCHMARK.json` exactly:
   the `end_to_end` list untraced, the `per_layer` list traced;
-* every value is a finite number, and every workload `BENCHMARK.json`
-  names is one `run.py` knows.
+* every value is a finite number, and `BENCHMARK.json` names exactly the
+  workloads `run.py` knows.
 """
 
 import argparse
@@ -36,10 +36,9 @@ def main():
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     problems = []
-    names = [w["name"] for w in spec["workloads"]]
-    unknown = sorted(set(names) - set(run.WORKLOADS))
-    if unknown:
-        problems.append(f"BENCHMARK.json names unknown workloads {unknown}")
+    names = sorted(w["name"] for w in spec["workloads"])
+    if names != sorted(run.WORKLOADS):
+        problems.append(f"BENCHMARK.json workloads {names} != run.py's {sorted(run.WORKLOADS)}")
     for workload in run.WORKLOADS:
         for trace, key in ((0, "end_to_end"), (1, "per_layer")):
             want = {m["name"]: m["unit"] for m in spec[key]}

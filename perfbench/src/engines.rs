@@ -43,11 +43,6 @@ pub fn spanner_make(spec: &Spec) -> Make<bds_contract::SparseSpanner> {
     })
 }
 
-pub fn conn_make(spec: &Spec) -> Make<bds_graph::conn::BatchConnectivity> {
-    let n = spec.n;
-    sorted(move |_, es| bds_graph::conn::BatchConnectivity::builder(n).build(es))
-}
-
 pub fn durable_make(spec: &Spec) -> Make<bds_core::FullyDynamicSpanner> {
     let (n, k) = (spec.n, spec.k);
     sorted(move |i, es| {
@@ -58,12 +53,10 @@ pub fn durable_make(spec: &Spec) -> Make<bds_core::FullyDynamicSpanner> {
     })
 }
 
-/// The stretch the served union must stay within, or `None` for
-/// connectivity (checked against a union-find oracle instead).
-pub fn stretch_bound(spec: &Spec) -> Option<f64> {
+/// The stretch the served union must stay within.
+pub fn stretch_bound(spec: &Spec) -> f64 {
     match spec.kind {
-        Kind::Conn => None,
-        Kind::Durable => Some((2 * spec.k - 1) as f64),
+        Kind::Durable => (2 * spec.k - 1) as f64,
         Kind::Spanner => {
             // Theorem 1.3 as implemented: a top Theorem 1.1 instance
             // with k = ⌈log₂ n⌉ (stretch 2k−1), and each contraction
@@ -77,7 +70,7 @@ pub fn stretch_bound(spec: &Spec) -> Option<f64> {
             for _ in 0..levels {
                 t = 3.0 * t + 2.0;
             }
-            Some(t)
+            t
         }
     }
 }

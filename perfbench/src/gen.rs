@@ -28,9 +28,6 @@ pub enum Kind {
     /// `SparseSpanner` (Theorem 1.3) lanes; reads are batch
     /// contains + degree on a pinned view.
     Spanner,
-    /// `BatchConnectivity` lanes; reads rebuild a `ConnView` from the
-    /// pinned view and answer `batch_connected`.
-    Conn,
     /// `FullyDynamicSpanner` (Theorem 1.1) lanes behind a WAL; reads
     /// tail the log with a `FollowerView`.
     Durable,
@@ -66,6 +63,11 @@ pub struct Spec {
     pub pa_degree: usize,
     /// Snapshot cadence in batches (durable only).
     pub snapshot_every: u64,
+    /// `FsyncPolicy::EveryN` group-commit interval in batches (durable
+    /// only). One `fdatasync` per batch put the shared disk's latency
+    /// swings (per-batch WAL time 0.17-0.47 ms between runs) into every
+    /// end-to-end metric.
+    pub fsync_every: u32,
 }
 
 pub fn spec(name: &str) -> Option<Spec> {
@@ -86,23 +88,7 @@ pub fn spec(name: &str) -> Option<Spec> {
             k: 0,
             pa_degree: 0,
             snapshot_every: 0,
-        }),
-        "conn_serve" => Some(Spec {
-            name: "conn_serve",
-            kind: Kind::Conn,
-            n: 20_000,
-            probe_pairs: 256,
-            shards: 4,
-            batch: 256,
-            paced_rate: 20_000.0,
-            probe_every: 32,
-            think: Duration::from_millis(2),
-            q: 4096,
-            cycle_len: 4 * 1024 * 256,
-            replay_batches: 200,
-            k: 0,
-            pa_degree: 0,
-            snapshot_every: 0,
+            fsync_every: 0,
         }),
         "durable_small" => Some(Spec {
             name: "durable_small",
@@ -120,6 +106,7 @@ pub fn spec(name: &str) -> Option<Spec> {
             k: 4,
             pa_degree: 48,
             snapshot_every: 1024,
+            fsync_every: 32,
         }),
         _ => None,
     }
@@ -172,13 +159,9 @@ pub struct Inputs {
     cycle: Vec<Update>,
     /// Reserved bridges on isolated vertex pairs.
     pub probes: Vec<Edge>,
-    /// Read queries (spanner/durable): edges and their lower endpoints.
+    /// Read queries: edges and their lower endpoints.
     pub query_edges: Vec<Edge>,
     pub query_vertices: Vec<V>,
-    /// Read queries (conn): pairs, and whether the pair is joined by an
-    /// edge the stream never deletes (so must always be connected).
-    pub query_pairs: Vec<(V, V)>,
-    pub must_connect: Vec<bool>,
     /// Human-readable graph parameters for provenance.
     pub graph: String,
 }
@@ -189,8 +172,7 @@ const QUERY_SETS: usize = 8;
 /// constant); the run seed drives the update stream, the read queries
 /// and, through them, everything the engines do. A seeded graph made
 /// engine costs that depend on one-off structure (a spanner's per-batch
-/// fixed cost, the `ConnView` rebuild) vary by up to a quarter between
-/// seeds.
+/// fixed cost) vary by up to a quarter between seeds.
 const GRAPH_SEED: u64 = 0x6e61_7068;
 
 fn invert(u: Update) -> Update {
@@ -203,29 +185,12 @@ fn invert(u: Update) -> Update {
 impl Inputs {
     pub fn generate(spec: &Spec, seed: u64) -> Inputs {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xbe4c_5e7e);
-        let mut graph_rng = StdRng::seed_from_u64(GRAPH_SEED);
         let core = spec.n - 2 * spec.probe_pairs;
         let (init, graph) = match spec.kind {
             Kind::Spanner => (
                 bds_graph::gen::gnm(core, 15 * core, GRAPH_SEED),
                 format!("gnm n_core={core} m={}", 15 * core),
             ),
-            Kind::Conn => {
-                let mut edges: Vec<Edge> = (0..core - 1)
-                    .map(|i| Edge::new(i as V, i as V + 1))
-                    .collect();
-                let mut have: FxHashSet<Edge> = edges.iter().copied().collect();
-                while edges.len() < (core - 1) + core / 2 {
-                    let e = random_pair(&mut graph_rng, core);
-                    if e.v - e.u > 1 && have.insert(e) {
-                        edges.push(e);
-                    }
-                }
-                (
-                    edges,
-                    format!("path+chords n_core={core} chords={}", core / 2),
-                )
-            }
             Kind::Durable => (
                 bds_graph::gen::preferential_attachment(core, spec.pa_degree, GRAPH_SEED),
                 format!("preferential_attachment n_core={core} k={}", spec.pa_degree),
@@ -241,31 +206,17 @@ impl Inputs {
             probes,
             query_edges: Vec::new(),
             query_vertices: Vec::new(),
-            query_pairs: Vec::new(),
-            must_connect: Vec::new(),
             graph,
         };
         let total = QUERY_SETS * spec.q;
         for i in 0..total {
-            if spec.kind == Kind::Conn {
-                if i % 2 == 0 {
-                    let a = 8 * rng.gen_range(0..(core - 2) / 8) as V;
-                    inputs.query_pairs.push((a, a + 1));
-                    inputs.must_connect.push(true);
-                } else {
-                    let e = random_pair(&mut rng, core);
-                    inputs.query_pairs.push((e.u, e.v));
-                    inputs.must_connect.push(false);
-                }
+            let e = if i % 2 == 0 {
+                inputs.init[rng.gen_range(0..inputs.init.len())]
             } else {
-                let e = if i % 2 == 0 {
-                    inputs.init[rng.gen_range(0..inputs.init.len())]
-                } else {
-                    random_pair(&mut rng, core)
-                };
-                inputs.query_edges.push(e);
-                inputs.query_vertices.push(e.u);
-            }
+                random_pair(&mut rng, core)
+            };
+            inputs.query_edges.push(e);
+            inputs.query_vertices.push(e.u);
         }
         inputs
     }
@@ -340,101 +291,40 @@ fn random_pair(rng: &mut StdRng, core: usize) -> Edge {
 fn churn(spec: &Spec, core: usize, init: &[Edge], rng: &mut StdRng) -> Vec<Update> {
     let mut out = Vec::with_capacity(spec.cycle_len);
     let mut touched: FxHashSet<Edge> = FxHashSet::default();
-    match spec.kind {
-        Kind::Spanner | Kind::Durable => {
-            let mut live = Pool::from(init);
-            while out.len() < spec.cycle_len {
-                if out.len() % spec.batch == 0 {
-                    touched.clear();
-                }
-                let up = if rng.gen::<bool>() {
-                    let e = if spec.kind == Kind::Spanner {
-                        random_pair(rng, core)
-                    } else {
-                        // Degree-proportional target: an endpoint of a
-                        // uniformly random live edge keeps the skew.
-                        let a = rng.gen_range(0..core as V);
-                        let Some(t) = live.sample(rng) else { continue };
-                        let b = if rng.gen::<bool>() { t.u } else { t.v };
-                        if a == b {
-                            continue;
-                        }
-                        Edge::new(a, b)
-                    };
-                    if live.contains(e) || touched.contains(&e) {
-                        continue;
-                    }
-                    live.insert(e);
-                    Update::Insert(e)
-                } else {
-                    let Some(e) = live.sample(rng) else { continue };
-                    if touched.contains(&e) {
-                        continue;
-                    }
-                    live.remove(e);
-                    Update::Delete(e)
-                };
-                touched.insert(up.edge());
-                out.push(up);
-            }
+    let mut live = Pool::from(init);
+    while out.len() < spec.cycle_len {
+        if out.len() % spec.batch == 0 {
+            touched.clear();
         }
-        Kind::Conn => {
-            // Path edges (i, i+1) with i % 8 == 0 are never deleted
-            // (read-check anchors). Deletions go 80 % to the other path
-            // edges — spanning-forest edges, so their cuts start
-            // replacement searches — and inserts 80 % restore them.
-            let path = |e: Edge| e.v == e.u + 1;
-            let mut chords = Pool::from(
-                &init
-                    .iter()
-                    .copied()
-                    .filter(|&e| !path(e))
-                    .collect::<Vec<_>>(),
-            );
-            let mut down = Pool::default();
-            while out.len() < spec.cycle_len {
-                if out.len() % spec.batch == 0 {
-                    touched.clear();
+        let up = if rng.gen::<bool>() {
+            let e = if spec.kind == Kind::Spanner {
+                random_pair(rng, core)
+            } else {
+                // Degree-proportional target: an endpoint of a
+                // uniformly random live edge keeps the skew.
+                let a = rng.gen_range(0..core as V);
+                let Some(t) = live.sample(rng) else { continue };
+                let b = if rng.gen::<bool>() { t.u } else { t.v };
+                if a == b {
+                    continue;
                 }
-                let restore = rng.gen_bool(0.8);
-                let up = if rng.gen::<bool>() {
-                    if restore && !down.edges.is_empty() {
-                        let Some(e) = down.sample(rng) else { continue };
-                        if touched.contains(&e) {
-                            continue;
-                        }
-                        down.remove(e);
-                        Update::Insert(e)
-                    } else {
-                        let e = random_pair(rng, core);
-                        if path(e) || chords.contains(e) || touched.contains(&e) {
-                            continue;
-                        }
-                        chords.insert(e);
-                        Update::Insert(e)
-                    }
-                } else if restore {
-                    let i = rng.gen_range(0..(core - 1) as V);
-                    let e = Edge::new(i, i + 1);
-                    if i % 8 == 0 || down.contains(e) || touched.contains(&e) {
-                        continue;
-                    }
-                    down.insert(e);
-                    Update::Delete(e)
-                } else {
-                    let Some(e) = chords.sample(rng) else {
-                        continue;
-                    };
-                    if touched.contains(&e) {
-                        continue;
-                    }
-                    chords.remove(e);
-                    Update::Delete(e)
-                };
-                touched.insert(up.edge());
-                out.push(up);
+                Edge::new(a, b)
+            };
+            if live.contains(e) || touched.contains(&e) {
+                continue;
             }
-        }
+            live.insert(e);
+            Update::Insert(e)
+        } else {
+            let Some(e) = live.sample(rng) else { continue };
+            if touched.contains(&e) {
+                continue;
+            }
+            live.remove(e);
+            Update::Delete(e)
+        };
+        touched.insert(up.edge());
+        out.push(up);
     }
     out
 }

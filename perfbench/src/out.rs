@@ -18,8 +18,8 @@ pub fn median(v: &[f64]) -> f64 {
 /// A once-per-run timing (`setup_s`, `recover_s`) is sampled until it has
 /// at least `REPEATS` samples and `REPEAT_SECONDS` worth of them (at most
 /// `MAX_REPEATS`); the metric is their median.
-const REPEATS: usize = 5;
-const REPEAT_SECONDS: f64 = 2.0;
+const REPEATS: usize = 11;
+const REPEAT_SECONDS: f64 = 4.0;
 const MAX_REPEATS: usize = 41;
 
 pub fn repeat_timed(
@@ -34,44 +34,84 @@ pub fn repeat_timed(
     Ok(())
 }
 
-/// Operations attempted vs failed, with a note per failure (printed to
-/// stderr at the end of the run).
+/// Checked operations by category: (category, attempted, failed).
+///
+/// `success_rate` is the lowest pass rate over the categories, not the
+/// pass rate of all operations together: a final-state check (the view
+/// equals the engine output, recovery reproduces it, ...) is a category
+/// of its own, so one failure of it drives the rate to 0 however many
+/// per-read checks passed.
 #[derive(Debug, Default)]
 pub struct Tally {
-    pub attempted: u64,
-    pub failed: u64,
+    cats: Vec<(&'static str, u64, u64)>,
+    /// One note per failure (printed to stderr at the end of the run).
     pub notes: Vec<String>,
 }
 
+const MAX_NOTES: usize = 50;
+
 impl Tally {
-    /// Count one checked operation.
-    pub fn check(&mut self, ok: bool, what: impl FnOnce() -> String) {
-        self.attempted += 1;
-        if !ok {
-            self.failed += 1;
-            if self.notes.len() < 50 {
-                self.notes.push(what());
+    fn add(&mut self, cat: &'static str, n: u64, bad: u64) {
+        match self.cats.iter_mut().find(|c| c.0 == cat) {
+            Some(c) => {
+                c.1 += n;
+                c.2 += bad;
             }
+            None => self.cats.push((cat, n, bad)),
         }
     }
 
-    /// Count `n` operations of which `bad` failed.
-    pub fn bulk(&mut self, n: u64, bad: u64, what: &str) {
-        self.attempted += n;
-        self.failed += bad;
-        if bad > 0 && self.notes.len() < 50 {
-            self.notes.push(format!("{bad} of {n} {what} failed"));
+    /// Count one checked operation of category `cat`.
+    pub fn check(&mut self, cat: &'static str, ok: bool, what: impl FnOnce() -> String) {
+        self.add(cat, 1, u64::from(!ok));
+        if !ok && self.notes.len() < MAX_NOTES {
+            self.notes.push(format!("{cat}: {}", what()));
+        }
+    }
+
+    /// Count `n` operations of category `cat`, of which `bad` failed.
+    pub fn bulk(&mut self, cat: &'static str, n: u64, bad: u64) {
+        self.add(cat, n, bad);
+        if bad > 0 && self.notes.len() < MAX_NOTES {
+            self.notes.push(format!("{cat}: {bad} of {n} failed"));
         }
     }
 
     pub fn merge(&mut self, other: Tally) {
-        self.attempted += other.attempted;
-        self.failed += other.failed;
+        for (cat, n, bad) in other.cats {
+            self.add(cat, n, bad);
+        }
         for n in other.notes {
-            if self.notes.len() < 50 {
+            if self.notes.len() < MAX_NOTES {
                 self.notes.push(n);
             }
         }
+    }
+
+    pub fn attempted(&self) -> u64 {
+        self.cats.iter().map(|c| c.1).sum()
+    }
+
+    pub fn failed(&self) -> u64 {
+        self.cats.iter().map(|c| c.2).sum()
+    }
+
+    /// The lowest pass rate over the categories (1 with no checks).
+    pub fn success_rate(&self) -> f64 {
+        self.cats
+            .iter()
+            .filter(|c| c.1 > 0)
+            .map(|c| (c.1 - c.2) as f64 / c.1 as f64)
+            .fold(1.0, f64::min)
+    }
+
+    /// `attempted failed category` lines, for stderr.
+    pub fn summary(&self) -> String {
+        self.cats
+            .iter()
+            .map(|(cat, n, bad)| format!("  {n:>9} {bad:>4}  {cat}"))
+            .collect::<Vec<_>>()
+            .join("\n")
     }
 }
 
@@ -117,7 +157,7 @@ pub fn result_line(tally: &mut Tally, metrics: &Metrics) -> String {
         let v = if value.is_finite() {
             *value
         } else {
-            tally.check(false, || format!("metric {name} is not finite"));
+            tally.check("finite metrics", false, || format!("{name} is not finite"));
             -1.0
         };
         parts.push(format!(
@@ -129,9 +169,9 @@ pub fn result_line(tally: &mut Tally, metrics: &Metrics) -> String {
     }
     format!(
         "{{\"correct\": {}, \"attempted\": {}, \"failed\": {}, \"metrics\": {{{}}}}}",
-        tally.failed == 0,
-        tally.attempted.max(1),
-        tally.failed,
+        tally.failed() == 0,
+        tally.attempted().max(1),
+        tally.failed(),
         parts.join(", ")
     )
 }

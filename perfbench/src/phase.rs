@@ -7,17 +7,15 @@ use crate::out::{repeat_timed, Tally};
 use crate::trace::Tracer;
 use bds_dstruct::FxHashSet;
 use bds_graph::api::{BatchDynamic, FullyDynamic};
-use bds_graph::conn::ConnView;
 use bds_graph::serve::{BatchPolicy, ReadHandle, ServeLoopBuilder, ServeReport, Update};
 use bds_graph::shard::{HashPartitioner, ShardedEngineBuilder};
 use bds_graph::types::Edge;
-use bds_graph::union_find::UnionFind;
 use bds_graph::wal::{self, FollowerView, FsyncPolicy, Snapshot, WalConfig, WalWriter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
-use std::sync::mpsc::{channel, Receiver};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -62,7 +60,8 @@ pub struct PhaseOut {
     pub lag_max: u64,
     /// Final served output size |H|.
     pub out_edges: usize,
-    /// Served output size |H| seen by each read request.
+    /// Served output size |H| at fixed stream positions (paced only:
+    /// every `OUTPUT_SAMPLE_EVERY`-th update, when it is due).
     pub view_len: Vec<f64>,
     pub recover_s: Vec<f64>,
     /// Final live input edge set (the oracle).
@@ -72,10 +71,13 @@ pub struct PhaseOut {
     pub reader: Tracer,
 }
 
-/// How often the paced producer polls outstanding probes (and the
-/// longest it sleeps between sends).
+/// How often the paced producer and the reader poll outstanding probes
+/// (and the longest the producer sleeps between sends).
 const POLL_EVERY: Duration = Duration::from_micros(200);
 const MIN_SLEEP: Duration = Duration::from_micros(100);
+/// The paced producer samples the served output size every this many
+/// updates.
+const OUTPUT_SAMPLE_EVERY: usize = 512;
 /// Batches a durable flood sends after the writer passes a snapshot.
 const RECOVERY_TAIL_BATCHES: usize = 8;
 
@@ -84,6 +86,17 @@ struct Probe {
     edge: Edge,
     due: Instant,
     present: bool,
+}
+
+/// Sets the reader's stop flag when dropped, so the reader thread ends
+/// on every exit path of the phase, early errors included.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        // ordering: SeqCst — as the explicit store in `run_phase`.
+        self.0.store(true, SeqCst);
+    }
 }
 
 /// Record the probes in `pending` that `has(edge)` now reflects.
@@ -103,16 +116,12 @@ fn observe(
     });
 }
 
-/// Queue a probe; an unobserved older probe on the same edge is failed.
-fn add_probe(pending: &mut Vec<Probe>, p: Probe, tally: &mut Tally, who: &str) {
+/// Queue a probe. An unobserved older probe on the same edge is dropped
+/// and so never observed: every announced probe not observed by the end
+/// of the phase counts as failed.
+fn add_probe(pending: &mut Vec<Probe>, p: Probe) {
     if let Some(i) = pending.iter().position(|q| q.edge == p.edge) {
         pending.swap_remove(i);
-        tally.check(false, || {
-            format!(
-                "{who}: probe {:?} superseded before it was observed",
-                p.edge
-            )
-        });
     }
     pending.push(p);
 }
@@ -162,7 +171,7 @@ fn build<S: FullyDynamic + Send + 'static>(
     if spec.kind == Kind::Durable {
         b = b.durability(
             WalConfig::new(dir.join("log"))
-                .fsync(FsyncPolicy::EveryBatch)
+                .fsync(FsyncPolicy::EveryN(spec.fsync_every))
                 .snapshot(dir.join("snap"), spec.snapshot_every),
         );
     }
@@ -203,20 +212,26 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
     let mut present = vec![false; inp.probes.len()];
     let mut visible_ms = Vec::new();
     let mut late_ms = Vec::new();
+    let mut view_len = Vec::new();
     let mut sent = 0u64;
+    let mut announced = 0u64;
 
     let (report, wall_s, rd, p) = std::thread::scope(|sc| -> Result<_, String> {
         let reader = {
-            let read = read.clone();
+            let reader = Reader::new(ctx, read.clone(), follower, traced);
             let stop = &stop;
-            let requests = matches!(mode, Mode::Flood(_));
-            sc.spawn(move || reader_loop(ctx, read, follower, prx, stop, traced, requests))
+            match mode {
+                Mode::Flood(_) => sc.spawn(move || reader.requests(stop)),
+                Mode::Paced(_) => sc.spawn(move || reader.watch(prx, stop)),
+            }
         };
+        let _stop = StopOnDrop(&stop);
         let t0 = Instant::now();
         let mut p = 0usize;
         let mut pending: Vec<Probe> = Vec::new();
         let mut snap_at: Option<u64> = None;
         let mut tail_left = usize::MAX;
+        let mut send_failed = false;
         match mode {
             Mode::Flood(dur) => 'flood: loop {
                 for _ in 0..64.min(tail_left) {
@@ -225,7 +240,8 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
                     let r = ingest.send(inp.op(p));
                     producer.end(sp);
                     if let Err(e) = r {
-                        tally.check(false, || format!("send: {e}"));
+                        tally.check("sends", false, || format!("send: {e}"));
+                        send_failed = true;
                         break 'flood;
                     }
                     p += 1;
@@ -259,6 +275,9 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
                     let due = Duration::from_secs_f64(i as f64 / spec.paced_rate);
                     let now = t0.elapsed();
                     if now >= due {
+                        if i.is_multiple_of(OUTPUT_SAMPLE_EVERY) {
+                            view_len.push(read.pin().len() as f64);
+                        }
                         // A probe slot toggles the next pair whose last
                         // toggle the producer has seen (none free: churn).
                         let free = (i + 1)
@@ -277,7 +296,8 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
                                 due: t0 + due,
                                 present: present[j],
                             };
-                            add_probe(&mut pending, probe, &mut tally, "producer");
+                            add_probe(&mut pending, probe);
+                            announced += 1;
                             let _ = ptx.send(probe);
                             if probe.present {
                                 Update::Insert(probe.edge)
@@ -293,7 +313,8 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
                         let r = ingest.send(up);
                         producer.end(sp);
                         if let Err(e) = r {
-                            tally.check(false, || format!("send: {e}"));
+                            tally.check("sends", false, || format!("send: {e}"));
+                            send_failed = true;
                             break;
                         }
                         i += 1;
@@ -317,6 +338,9 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
             Mode::Flood(_) => p as u64,
             Mode::Paced(_) => late_ms.len() as u64,
         };
+        if !send_failed {
+            tally.check("sends", true, String::new);
+        }
         drop(ingest);
         let report = writer
             .join()
@@ -324,11 +348,6 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
         let wall_s = t0.elapsed().as_secs_f64();
         // Probes still unobserved get one look at the final view.
         poll(&read, &mut pending, &mut visible_ms, &mut producer);
-        for pr in &pending {
-            tally.check(false, || {
-                format!("probe {:?} never became visible", pr.edge)
-            });
-        }
         // ordering: SeqCst — the reader's final pass must observe the
         // drained state, and the writer was joined before this store.
         stop.store(true, SeqCst);
@@ -337,6 +356,18 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
             .map_err(|_| "reader thread panicked".to_string())??;
         Ok((report, wall_s, rd, p))
     })?;
+    // Every announced probe must have been observed by both the
+    // producer's polls and the reader.
+    tally.bulk(
+        "probes seen by the producer",
+        announced,
+        announced - visible_ms.len() as u64,
+    );
+    tally.bulk(
+        "probes seen by the reader",
+        announced,
+        announced.saturating_sub(rd.visible_ms.len() as u64),
+    );
     let mut out = PhaseOut {
         setup_s,
         sent,
@@ -348,7 +379,7 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
         late_ms,
         lag_max: rd.lag_max,
         out_edges: 0,
-        view_len: rd.view_len,
+        view_len,
         recover_s: Vec::new(),
         live: Vec::new(),
         tally,
@@ -356,12 +387,16 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
         reader: rd.tracer,
     };
     out.tally.merge(rd.tally);
-    out.tally.check(out.sent == out.report.raw_updates, || {
-        format!(
-            "sent {} updates but the writer pulled {}",
-            out.sent, out.report.raw_updates
-        )
-    });
+    out.tally.check(
+        "writer pulled what was sent",
+        out.sent == out.report.raw_updates,
+        || {
+            format!(
+                "sent {} updates but the writer pulled {}",
+                out.sent, out.report.raw_updates
+            )
+        },
+    );
     // Final-state oracle: churn prefix plus the probes left present.
     let mut live = inp.live_after(p);
     for (j, &on) in present.iter().enumerate() {
@@ -373,9 +408,11 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
         Ok(mut h) => h.iter_mut().filter_map(Option::take).collect(),
         Err(_) => Vec::new(),
     };
-    out.tally.check(lanes.len() == spec.shards, || {
-        "lane engines were not handed back".into()
-    });
+    out.tally.check(
+        "lane engines handed back",
+        lanes.len() == spec.shards,
+        || format!("{} of {} lanes", lanes.len(), spec.shards),
+    );
     final_checks(ctx, &read, &lanes, &live, rd.follower_edges, &mut out);
     out.live = live.into_iter().collect();
     if durable {
@@ -386,22 +423,16 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
                 let r = recover::<S>(ctx, make, &snap, &log)?;
                 let live: FxHashSet<Edge> = out.live.iter().copied().collect();
                 let input: FxHashSet<Edge> = r.engine.live_input_edges().collect();
-                out.tally.check(r.seq == out.report.final_seq, || {
-                    format!(
-                        "recovered seq {} != final seq {}",
-                        r.seq, out.report.final_seq
-                    )
-                });
-                out.tally.check(input == live, || {
-                    "recovered live input != oracle live set".into()
-                });
-                stretch_check(
-                    ctx,
-                    &out.live,
-                    &r.engine.output_edges_vec(),
-                    &mut out.tally,
-                    "recovered engine",
+                out.tally.check(
+                    "recovery reaches the final seq",
+                    r.seq == out.report.final_seq,
+                    || format!("recovered {} != final {}", r.seq, out.report.final_seq),
                 );
+                out.tally
+                    .check("recovered input equals the live set", input == live, || {
+                        format!("{} recovered vs {} live edges", input.len(), live.len())
+                    });
+                stretch_check(ctx, &out.live, &r.engine.output_edges_vec(), &mut out.tally);
                 drop(r);
                 repeat_timed(&mut out.recover_s, || {
                     let t = Instant::now();
@@ -416,16 +447,19 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
                 let got: FxHashSet<Edge> = r.engine.output_edges_vec().into_iter().collect();
                 let want: FxHashSet<Edge> =
                     lanes.iter().flat_map(|l| l.output_edges_vec()).collect();
-                out.tally
-                    .check(r.seq == out.report.final_seq && got == want, || {
+                out.tally.check(
+                    "full-log recovery equals the live output",
+                    r.seq == out.report.final_seq && got == want,
+                    || {
                         format!(
-                            "full-log recovery (seq {}, |H| {}) != live engine (seq {}, |H| {})",
+                            "seq {}, |H| {} vs seq {}, |H| {}",
                             r.seq,
                             got.len(),
                             out.report.final_seq,
                             want.len()
                         )
-                    });
+                    },
+                );
             }
         }
         let _ = std::fs::remove_dir_all(&dir);
@@ -470,9 +504,11 @@ pub fn offline_recovery<S: FullyDynamic + Send + 'static>(
     let r = recover::<S>(ctx, make, &snap, &log)?;
     let want = ctx.inputs.live_after(RECOVERY_TAIL_BATCHES * spec.batch);
     let got: FxHashSet<Edge> = r.engine.live_input_edges().collect();
-    tally.check(r.seq == RECOVERY_TAIL_BATCHES as u64 && got == want, || {
-        format!("offline recovery: seq {} or its live set is wrong", r.seq)
-    });
+    tally.check(
+        "offline recovery reproduces the live set",
+        r.seq == RECOVERY_TAIL_BATCHES as u64 && got == want,
+        || format!("seq {}, {} vs {} live edges", r.seq, got.len(), want.len()),
+    );
     drop(r);
     let mut samples = Vec::new();
     repeat_timed(&mut samples, || {
@@ -518,13 +554,14 @@ fn poll(
     tr.end(hold);
 }
 
-pub fn stretch_check(ctx: &Ctx, live: &[Edge], h: &[Edge], tally: &mut Tally, what: &str) {
-    if let Some(bound) = engines::stretch_bound(ctx.spec) {
-        let st = bds_graph::csr::edge_stretch(ctx.spec.n, live, h, 64, ctx.seed);
-        tally.check(st <= bound, || {
-            format!("{what}: sampled stretch {st} exceeds {bound}")
-        });
-    }
+/// Sampled stretch audit (`csr::edge_stretch`, 64 sources) of output
+/// `h` over the live edges.
+pub fn stretch_check(ctx: &Ctx, live: &[Edge], h: &[Edge], tally: &mut Tally) {
+    let bound = engines::stretch_bound(ctx.spec);
+    let st = bds_graph::csr::edge_stretch(ctx.spec.n, live, h, 64, ctx.seed);
+    tally.check("stretch audit", st <= bound, || {
+        format!("sampled stretch {st} exceeds {bound}")
+    });
 }
 
 fn final_checks<S: FullyDynamic>(
@@ -535,90 +572,50 @@ fn final_checks<S: FullyDynamic>(
     follower: Option<Vec<Edge>>,
     out: &mut PhaseOut,
 ) {
-    let n = ctx.spec.n;
     let g = read.pin();
     let view = g.edges();
     out.out_edges = view.len();
     let view_set: FxHashSet<Edge> = view.iter().copied().collect();
     let engine_out: FxHashSet<Edge> = lanes.iter().flat_map(|l| l.output_edges_vec()).collect();
     let t = &mut out.tally;
-    t.check(g.seq() == out.report.final_seq, || {
-        "final view seq != writer seq".into()
-    });
-    t.check(view_set == engine_out, || {
-        format!(
-            "final view ({} edges) != engine output ({} edges)",
-            view_set.len(),
-            engine_out.len()
-        )
-    });
-    t.check(view_set.is_subset(live), || {
-        "served output has an edge that is not live".into()
+    t.check(
+        "final view at the writer's seq",
+        g.seq() == out.report.final_seq,
+        || format!("{} != {}", g.seq(), out.report.final_seq),
+    );
+    t.check(
+        "final view equals the engine output",
+        view_set == engine_out,
+        || format!("{} vs {} edges", view_set.len(), engine_out.len()),
+    );
+    t.check("served output is live", view_set.is_subset(live), || {
+        "an edge that is not live".into()
     });
     let live_vec: Vec<Edge> = live.iter().copied().collect();
-    match ctx.spec.kind {
-        Kind::Conn => {
-            let cv = ConnView::from_edges(n, &view);
-            let mut uf = UnionFind::new(n);
-            let mut missed = 0u64;
-            for e in &live_vec {
-                uf.union(e.u, e.v);
-                if !cv.connected(e.u, e.v) {
-                    missed += 1;
-                }
-            }
-            t.check(missed == 0, || {
-                format!("{missed} live edges disconnected in the served forest")
-            });
-            t.check(cv.num_components() == uf.components(), || {
-                format!(
-                    "components: served {} vs oracle {}",
-                    cv.num_components(),
-                    uf.components()
-                )
-            });
-            let bad = ctx
-                .inputs
-                .probes
-                .iter()
-                .filter(|p| cv.connected(p.u, p.v) != live.contains(p))
-                .count();
-            t.bulk(
-                ctx.inputs.probes.len() as u64,
-                bad as u64,
-                "final probe connectivity answers",
-            );
-        }
-        Kind::Spanner | Kind::Durable => {
-            stretch_check(ctx, &live_vec, &view, t, "served view");
-            let bad = ctx
-                .inputs
-                .probes
-                .iter()
-                .filter(|&&p| g.contains(p) != live.contains(&p))
-                .count();
-            t.bulk(
-                ctx.inputs.probes.len() as u64,
-                bad as u64,
-                "final probe membership answers",
-            );
-        }
-    }
+    stretch_check(ctx, &live_vec, &view, t);
+    let bad = ctx
+        .inputs
+        .probes
+        .iter()
+        .filter(|&&p| g.contains(p) != live.contains(&p))
+        .count();
+    t.bulk(
+        "final probe membership",
+        ctx.inputs.probes.len() as u64,
+        bad as u64,
+    );
     if let Some(f) = follower {
         let f: FxHashSet<Edge> = f.into_iter().collect();
-        t.check(f == view_set, || {
-            format!(
-                "follower view ({} edges) != primary view ({})",
-                f.len(),
-                view_set.len()
-            )
-        });
+        t.check(
+            "follower view equals the primary view",
+            f == view_set,
+            || format!("{} vs {} edges", f.len(), view_set.len()),
+        );
     }
 }
 
 struct ReaderOut {
     reads_ms: Vec<f64>,
-    view_len: Vec<f64>,
     visible_ms: Vec<f64>,
     lag_max: u64,
     follower_edges: Option<Vec<Edge>>,
@@ -626,171 +623,207 @@ struct ReaderOut {
     tracer: Tracer,
 }
 
-/// The reader client: a closed loop of one read request (flood only),
-/// then the think time. Each pass also checks the probes it has been
-/// told about against what it reads (paced only: there are no probes in
-/// a flood, and no read requests hold up the writer in a paced phase).
-fn reader_loop(
-    ctx: &Ctx,
+/// The reader client. In a flood it runs a closed loop of read requests
+/// with a think time between them; in a paced phase it issues no
+/// requests and only watches the probes the producer announces, at the
+/// producer's poll cadence. On `durable_small` it reads the
+/// `FollowerView` (after `catch_up`), elsewhere a pinned primary view.
+struct Reader<'a> {
+    ctx: &'a Ctx<'a>,
     read: ReadHandle<HashPartitioner>,
-    mut follower: Option<FollowerView>,
-    probes: Receiver<Probe>,
-    stop: &AtomicBool,
-    traced: bool,
-    requests: bool,
-) -> Result<ReaderOut, String> {
-    let spec = ctx.spec;
-    let inp = ctx.inputs;
-    let mut tr = Tracer::new(traced, ctx.epoch, "reader");
-    let mut o = ReaderOut {
-        reads_ms: Vec::new(),
-        view_len: Vec::new(),
-        visible_ms: Vec::new(),
-        lag_max: 0,
-        follower_edges: None,
-        tally: Tally::default(),
-        tracer: Tracer::new(false, ctx.epoch, "reader"),
-    };
-    let mut think = StdRng::seed_from_u64(ctx.seed ^ 0x7417_71e5);
-    let mut pending: Vec<Probe> = Vec::new();
-    let mut bools: Vec<bool> = Vec::new();
-    let mut degs: Vec<u32> = Vec::new();
-    let mut bad_reads = 0u64;
-    let mut reads = 0u64;
-    let mut r = 0u64;
-    loop {
-        // ordering: SeqCst — pairs with the producer's store after it
-        // joined the writer, so the last pass reads the drained state.
-        let last = stop.load(SeqCst);
-        while let Ok(p) = probes.try_recv() {
-            add_probe(&mut pending, p, &mut o.tally, "reader");
+    follower: Option<FollowerView>,
+    tr: Tracer,
+    out: ReaderOut,
+}
+
+impl<'a> Reader<'a> {
+    fn new(
+        ctx: &'a Ctx<'a>,
+        read: ReadHandle<HashPartitioner>,
+        follower: Option<FollowerView>,
+        traced: bool,
+    ) -> Self {
+        Reader {
+            ctx,
+            read,
+            follower,
+            tr: Tracer::new(traced, ctx.epoch, "reader"),
+            out: ReaderOut {
+                reads_ms: Vec::new(),
+                visible_ms: Vec::new(),
+                lag_max: 0,
+                follower_edges: None,
+                tally: Tally::default(),
+                tracer: Tracer::new(false, ctx.epoch, "reader"),
+            },
         }
-        let range = inp.query_range(r, spec.q);
-        let req = tr.begin("reader.request", r);
+    }
+
+    /// Bring the follower up to the log's end.
+    fn follow(&mut self, r: u64) -> Result<(), String> {
+        let cu = self.tr.begin("follower.catch_up", r);
+        let caught = self.follower.as_mut().map(FollowerView::catch_up);
+        self.tr.end(cu);
+        self.out
+            .tally
+            .check("follower catch_up", matches!(caught, Some(Ok(_))), || {
+                format!("{caught:?}")
+            });
+        match self.follower {
+            Some(_) => Ok(()),
+            None => Err("durable reader without a follower".into()),
+        }
+    }
+
+    /// Record the follower's lag behind the primary (one short pin).
+    fn record_lag(&mut self, r: u64) {
+        let Some(fseq) = self.follower.as_ref().map(FollowerView::seq) else {
+            return;
+        };
+        let sp = self.tr.begin("reader.pin", r);
+        let g = self.read.pin();
+        self.tr.end(sp);
+        let hold = self.tr.begin("reader.hold", r);
+        self.out.lag_max = self.out.lag_max.max(g.seq().saturating_sub(fseq));
+        drop(g);
+        self.tr.end(hold);
+    }
+
+    /// One read request: membership and degree of `q` query edges and
+    /// vertices. Returns its latency and whether its answers were
+    /// inconsistent (an edge reported present whose endpoint has degree
+    /// 0 in the same view).
+    fn request(&mut self, r: u64) -> Result<(Duration, bool), String> {
+        let inp = self.ctx.inputs;
+        let range = inp.query_range(r, self.ctx.spec.q);
+        let (edges, vertices) = (&inp.query_edges[range.clone()], &inp.query_vertices[range]);
+        let mut bools = Vec::with_capacity(edges.len());
+        let mut degs = Vec::with_capacity(vertices.len());
+        let req = self.tr.begin("reader.request", r);
         let t0 = Instant::now();
-        let (dt, bad) = match spec.kind {
+        let dt = match self.ctx.spec.kind {
             Kind::Spanner => {
-                let sp = tr.begin("reader.pin", r);
-                let g = read.pin();
-                tr.end(sp);
-                let hold = tr.begin("reader.hold", r);
-                if requests {
-                    let q = tr.begin("reader.query", r);
-                    g.batch_contains(&inp.query_edges[range.clone()], &mut bools);
-                    g.batch_degree(&inp.query_vertices[range.clone()], &mut degs);
-                    tr.end(q);
-                }
+                let sp = self.tr.begin("reader.pin", r);
+                let g = self.read.pin();
+                self.tr.end(sp);
+                let hold = self.tr.begin("reader.hold", r);
+                let q = self.tr.begin("reader.query", r);
+                g.batch_contains(edges, &mut bools);
+                g.batch_degree(vertices, &mut degs);
+                self.tr.end(q);
                 let dt = t0.elapsed();
-                observe(&mut pending, &mut o.visible_ms, Instant::now(), |e| {
-                    g.contains(e)
-                });
-                o.view_len.push(g.len() as f64);
                 drop(g);
-                tr.end(hold);
-                (
-                    dt,
-                    bools
-                        .iter()
-                        .zip(&degs)
-                        .filter(|&(&c, &d)| c && d == 0)
-                        .count(),
-                )
-            }
-            Kind::Conn => {
-                let sp = tr.begin("reader.pin", r);
-                let g = read.pin();
-                tr.end(sp);
-                let hold = tr.begin("reader.hold", r);
-                if requests {
-                    let vb = tr.begin("reader.view_build", r);
-                    let cv = ConnView::from_edges(spec.n, &g.edges());
-                    tr.end(vb);
-                    let q = tr.begin("reader.query", r);
-                    cv.batch_connected(&inp.query_pairs[range.clone()], &mut bools);
-                    tr.end(q);
-                }
-                let dt = t0.elapsed();
-                observe(&mut pending, &mut o.visible_ms, Instant::now(), |e| {
-                    g.contains(e)
-                });
-                o.view_len.push(g.len() as f64);
-                drop(g);
-                tr.end(hold);
-                let bad = bools
-                    .iter()
-                    .zip(&inp.must_connect[range.clone()])
-                    .filter(|&(&c, &must)| must && !c)
-                    .count();
-                (dt, bad)
+                self.tr.end(hold);
+                dt
             }
             Kind::Durable => {
-                let Some(fv) = follower.as_mut() else {
-                    return Err("durable reader without a follower".into());
-                };
-                let cu = tr.begin("follower.catch_up", r);
-                let caught = fv.catch_up();
-                tr.end(cu);
-                if let Err(e) = caught {
-                    o.tally.check(false, || format!("follower catch_up: {e}"));
-                }
-                let view = fv.view();
-                if requests {
-                    let q = tr.begin("reader.query", r);
-                    bools.clear();
-                    degs.clear();
-                    for (e, &v) in inp.query_edges[range.clone()]
-                        .iter()
-                        .zip(&inp.query_vertices[range.clone()])
-                    {
+                self.follow(r)?;
+                let q = self.tr.begin("reader.query", r);
+                if let Some(fv) = &self.follower {
+                    let view = fv.view();
+                    for (e, &v) in edges.iter().zip(vertices) {
                         bools.push(view.contains(*e));
                         degs.push(view.degree(v));
                     }
-                    tr.end(q);
                 }
                 let dt = t0.elapsed();
-                observe(&mut pending, &mut o.visible_ms, Instant::now(), |e| {
-                    view.contains(e)
-                });
-                o.view_len.push(view.len() as f64);
-                let bad = bools
-                    .iter()
-                    .zip(&degs)
-                    .filter(|&(&c, &d)| c && d == 0)
-                    .count();
-                let sp = tr.begin("reader.pin", r);
-                let g = read.pin();
-                tr.end(sp);
-                let hold = tr.begin("reader.hold", r);
-                o.lag_max = o.lag_max.max(g.seq().saturating_sub(fv.seq()));
-                drop(g);
-                tr.end(hold);
-                (dt, bad)
+                self.tr.end(q);
+                // Outside the timed request.
+                self.record_lag(r);
+                dt
             }
         };
-        tr.end(req);
-        reads += requests as u64;
-        bad_reads += (bad > 0) as u64;
-        if last {
-            break;
+        self.tr.end(req);
+        let bad = bools.iter().zip(&degs).any(|(&c, &d)| c && d == 0);
+        Ok((dt, bad))
+    }
+
+    /// Flood: a closed loop of one read request, then a seeded think
+    /// time, until `stop`.
+    fn requests(mut self, stop: &AtomicBool) -> Result<ReaderOut, String> {
+        let mut think = StdRng::seed_from_u64(self.ctx.seed ^ 0x7417_71e5);
+        let (mut reads, mut bad_reads) = (0u64, 0u64);
+        for r in 0.. {
+            // ordering: SeqCst — pairs with the producer's store after it
+            // joined the writer, so the last pass reads the drained state.
+            let last = stop.load(SeqCst);
+            let (dt, bad) = self.request(r)?;
+            reads += 1;
+            bad_reads += u64::from(bad);
+            if last {
+                break;
+            }
+            self.out.reads_ms.push(dt.as_secs_f64() * 1e3);
+            // Seeded think time, uniform around the workload's mean: a
+            // fixed one lets the reader phase-lock with the writer's
+            // publishes.
+            std::thread::sleep(self.ctx.spec.think.mul_f64(2.0 * think.gen::<f64>()));
         }
-        if requests {
-            o.reads_ms.push(dt.as_secs_f64() * 1e3);
+        self.out
+            .tally
+            .bulk("read requests with consistent answers", reads, bad_reads);
+        Ok(self.finish())
+    }
+
+    /// Paced: wait for announced probes, then look for them every
+    /// `POLL_EVERY` until each is visible; after `stop`, one last look.
+    fn watch(mut self, probes: Receiver<Probe>, stop: &AtomicBool) -> Result<ReaderOut, String> {
+        let mut pending: Vec<Probe> = Vec::new();
+        for r in 0.. {
+            // ordering: SeqCst — as in `requests`.
+            let last = stop.load(SeqCst);
+            if pending.is_empty() && !last {
+                match probes.recv_timeout(POLL_EVERY) {
+                    Ok(p) => add_probe(&mut pending, p),
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Err(RecvTimeoutError::Disconnected) => std::thread::sleep(POLL_EVERY),
+                }
+            }
+            while let Ok(p) = probes.try_recv() {
+                add_probe(&mut pending, p);
+            }
+            let now = match self.ctx.spec.kind {
+                Kind::Spanner => {
+                    let sp = self.tr.begin("reader.pin", r);
+                    let g = self.read.pin();
+                    self.tr.end(sp);
+                    let hold = self.tr.begin("reader.hold", r);
+                    let now = Instant::now();
+                    observe(&mut pending, &mut self.out.visible_ms, now, |e| {
+                        g.contains(e)
+                    });
+                    drop(g);
+                    self.tr.end(hold);
+                    now
+                }
+                Kind::Durable => {
+                    self.follow(r)?;
+                    let now = Instant::now();
+                    if let Some(fv) = &self.follower {
+                        let view = fv.view();
+                        observe(&mut pending, &mut self.out.visible_ms, now, |e| {
+                            view.contains(e)
+                        });
+                    }
+                    self.record_lag(r);
+                    now
+                }
+            };
+            if last {
+                break;
+            }
+            if !pending.is_empty() {
+                std::thread::sleep(POLL_EVERY.saturating_sub(now.elapsed()));
+            }
         }
-        r += 1;
-        // Seeded think time, uniform around the workload's mean: a fixed
-        // one lets the reader phase-lock with the writer's publishes.
-        std::thread::sleep(spec.think.mul_f64(2.0 * think.gen::<f64>()));
+        Ok(self.finish())
     }
-    o.tally
-        .bulk(reads, bad_reads, "read requests with inconsistent answers");
-    for p in &pending {
-        o.tally.check(false, || {
-            format!("reader never observed probe {:?}", p.edge)
-        });
+
+    fn finish(mut self) -> ReaderOut {
+        if let Some(fv) = &self.follower {
+            self.out.follower_edges = Some(fv.view().edges());
+        }
+        self.out.tracer = self.tr;
+        self.out
     }
-    if let Some(fv) = &follower {
-        o.follower_edges = Some(fv.view().edges());
-    }
-    o.tracer = tr;
-    Ok(o)
 }

@@ -17,19 +17,12 @@ use bds_graph::wal::{FollowerView, FsyncPolicy, Snapshot, WalWriter};
 use std::hint::black_box;
 use std::time::Instant;
 
-/// Forest changes of one lane in one batch: (lane, removed, added).
-type ForestDelta = (usize, Vec<Edge>, Vec<Edge>);
-
 struct LaneRun {
     build_s: f64,
     apply_s: f64,
     batch_ms: Vec<f64>,
     recourse: u64,
     allocs: u64,
-    /// Lane outputs right after build, and per-batch forest deltas
-    /// (kept for connectivity engines, whose output is a forest).
-    initial: Vec<Vec<Edge>>,
-    forest: Vec<ForestDelta>,
 }
 
 /// Standalone per-lane engines fed by `Partitioner::shard_of`.
@@ -37,7 +30,6 @@ fn lane_replay<S: FullyDynamic>(
     make: &Make<S>,
     lane_init: &[Vec<Edge>],
     subs: &[Vec<UpdateBatch>],
-    keep_forest: bool,
     tr: &mut Tracer,
 ) -> Result<LaneRun, String> {
     let mut run = LaneRun {
@@ -46,8 +38,6 @@ fn lane_replay<S: FullyDynamic>(
         batch_ms: Vec::with_capacity(subs.len()),
         recourse: 0,
         allocs: 0,
-        initial: Vec::new(),
-        forest: Vec::new(),
     };
     let mut lanes = Vec::with_capacity(lane_init.len());
     for (i, es) in lane_init.iter().enumerate() {
@@ -56,20 +46,12 @@ fn lane_replay<S: FullyDynamic>(
         let e = make(i, es).map_err(|e| format!("lane build: {e}"))?;
         run.build_s += t.elapsed().as_secs_f64();
         tr.end(sp);
-        if keep_forest {
-            run.initial.push(e.output_edges_vec());
-        }
         lanes.push(e);
     }
     let mut deltas: Vec<DeltaBuf> = (0..lanes.len()).map(|_| DeltaBuf::new()).collect();
     for (b, lane_batches) in subs.iter().enumerate() {
         let mut batch_s = 0.0;
-        for (i, ((lane, sub), delta)) in lanes
-            .iter_mut()
-            .zip(lane_batches)
-            .zip(&mut deltas)
-            .enumerate()
-        {
+        for ((lane, sub), delta) in lanes.iter_mut().zip(lane_batches).zip(&mut deltas) {
             let a0 = bds_par::alloc_counter::allocations();
             let sp = tr.begin("engine.apply", b as u64);
             let t = Instant::now();
@@ -78,10 +60,6 @@ fn lane_replay<S: FullyDynamic>(
             tr.end(sp);
             run.allocs += bds_par::alloc_counter::allocations() - a0;
             run.recourse += delta.recourse() as u64;
-            if keep_forest {
-                run.forest
-                    .push((i, delta.deleted().to_vec(), delta.inserted().to_vec()));
-            }
         }
         run.apply_s += batch_s;
         run.batch_ms.push(batch_s * 1e3);
@@ -110,16 +88,13 @@ pub fn replays<S: FullyDynamic + Send + 'static>(
             l.push(e);
         }
     }
-    let conn = spec.kind == Kind::Conn;
-
     // Engine layer: standalone lanes at the default thread count, then
     // the same replay pinned to two threads.
     let root = tr.begin("replay.engine", 0);
-    let lanes = lane_replay(make, &lane_init, &subs, conn, tr)?;
+    let lanes = lane_replay(make, &lane_init, &subs, tr)?;
     tr.end(root);
     let root = tr.begin("replay.engine.t2", 0);
-    let lanes_t2 =
-        bds_par::run_with_threads(2, || lane_replay(make, &lane_init, &subs, false, tr))?;
+    let lanes_t2 = bds_par::run_with_threads(2, || lane_replay(make, &lane_init, &subs, tr))?;
     tr.end(root);
     m.put("engine.build_s", lanes.build_s, "s");
     m.put(
@@ -202,8 +177,8 @@ pub fn replays<S: FullyDynamic + Send + 'static>(
         let caught = fv.catch_up();
         catch_us.push(t.elapsed().as_secs_f64() * 1e6);
         tr.end(sp);
-        tally.check(caught.is_ok(), || {
-            format!("replay follower catch_up: {caught:?}")
+        tally.check("replay follower catch_up", caught.is_ok(), || {
+            format!("{caught:?}")
         });
     }
     w.sync().map_err(io)?;
@@ -224,17 +199,11 @@ pub fn replays<S: FullyDynamic + Send + 'static>(
     );
     let view = ShardedView::of(&eng);
     let follower_ok = fv.view().len() == view.len() && fv.seq() == eng.seq();
-    tally.check(follower_ok, || {
-        "replay follower diverged from the sharded engine".into()
-    });
-    if !conn {
-        // What a connectivity reader of this view pays per request (the
-        // conn_serve read path), timed once: on spanner_serve's view it
-        // takes seconds.
-        let sp = tr.begin("reader.view_build", 0);
-        black_box(bds_graph::conn::ConnView::from_edges(spec.n, &view.edges()));
-        tr.end(sp);
-    }
+    tally.check(
+        "replay follower matches the sharded engine",
+        follower_ok,
+        || format!("{} vs {} edges", fv.view().len(), view.len()),
+    );
 
     // Recovery from the initial snapshot + the full replay log replays
     // the identical history, so its output must equal the engine's.
@@ -256,9 +225,11 @@ pub fn replays<S: FullyDynamic + Send + 'static>(
         b.sort_unstable();
         a == b
     };
-    tally.check(r.seq == eng.seq() && same, || {
-        "replay recovery output != replayed engine output".into()
-    });
+    tally.check(
+        "replay recovery equals the replayed output",
+        r.seq == eng.seq() && same,
+        || format!("recovered seq {} vs {}", r.seq, eng.seq()),
+    );
     let sp = tr.begin("wal.snapshot", 1);
     let t = Instant::now();
     Snapshot::of(&eng).write_to(&snap).map_err(io)?;
@@ -310,39 +281,30 @@ pub fn replays<S: FullyDynamic + Send + 'static>(
     );
     tr.end(sp);
     black_box(table.len());
-    // Forest deltas: the connectivity lanes' own; for spanner workloads
-    // those of one BatchConnectivity fed the same batches.
-    let (initial, forest) = if conn {
-        (lanes.initial, lanes.forest)
-    } else {
-        let mut c = BatchConnectivity::builder(spec.n)
-            .build(&inp.init)
-            .map_err(|e| format!("conn build: {e}"))?;
-        let initial = vec![c.forest_edges()];
-        let mut forest = Vec::with_capacity(batches.len());
-        for b in &batches {
-            c.apply_into(b, &mut delta);
-            forest.push((0, delta.deleted().to_vec(), delta.inserted().to_vec()));
-        }
-        (initial, forest)
-    };
-    let mut tours: Vec<EulerForest> = initial
-        .iter()
-        .map(|es| EulerForest::bulk_build(&es.iter().map(|e| (e.u, e.v)).collect::<Vec<_>>()))
-        .collect();
+    // Spanning-forest deltas of one BatchConnectivity (the `conn` layer:
+    // batch link/cut with replacement search) fed the same batches,
+    // replayed as Euler-tour cuts and links.
+    let mut c = BatchConnectivity::builder(spec.n)
+        .build(&inp.init)
+        .map_err(|e| format!("conn build: {e}"))?;
+    let initial: Vec<(u32, u32)> = c.forest_edges().iter().map(|e| (e.u, e.v)).collect();
+    let mut forest = Vec::with_capacity(batches.len());
+    for b in &batches {
+        c.apply_into(b, &mut delta);
+        forest.push((delta.deleted().to_vec(), delta.inserted().to_vec()));
+    }
+    let mut tour = EulerForest::bulk_build(&initial);
     let sp = tr.begin("dstruct.euler", 0);
     let t = Instant::now();
     let mut ops = 0u64;
-    for (lane, removed, added) in &forest {
-        if let Some(f) = tours.get_mut(*lane) {
-            for e in removed {
-                f.cut(e.u, e.v);
-            }
-            for e in added {
-                f.link(e.u, e.v);
-            }
-            ops += (removed.len() + added.len()) as u64;
+    for (removed, added) in &forest {
+        for e in removed {
+            tour.cut(e.u, e.v);
         }
+        for e in added {
+            tour.link(e.u, e.v);
+        }
+        ops += (removed.len() + added.len()) as u64;
     }
     let euler_s = t.elapsed().as_secs_f64();
     tr.end(sp);
