@@ -45,6 +45,9 @@ pub struct Spec {
     pub shards: usize,
     /// `BatchPolicy::Fixed` size.
     pub batch: usize,
+    /// Updates one flood sends, from a freshly built engine (a multiple
+    /// of 64, the producer's send chunk).
+    pub flood_ops: usize,
     /// Open-loop rate of the paced phase (updates/s, probes included).
     pub paced_rate: f64,
     /// Every `probe_every`-th paced update is a probe toggle.
@@ -79,6 +82,7 @@ pub fn spec(name: &str) -> Option<Spec> {
             probe_pairs: 256,
             shards: 2,
             batch: 1024,
+            flood_ops: 192 * 1024,
             paced_rate: 8_000.0,
             probe_every: 32,
             think: Duration::from_millis(2),
@@ -97,6 +101,7 @@ pub fn spec(name: &str) -> Option<Spec> {
             probe_pairs: 64,
             shards: 2,
             batch: 32,
+            flood_ops: 8 * 1024 * 32,
             paced_rate: 8_000.0,
             probe_every: 64,
             think: Duration::from_millis(2),

@@ -22,7 +22,7 @@ use gen::{Inputs, Kind};
 use out::{median, quantile, repeat_timed, Metrics, Tally};
 use phase::{Ctx, Mode, PhaseOut, Recovery};
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 use trace::Tracer;
 
 struct Args {
@@ -187,20 +187,19 @@ fn run_kind<S: FullyDynamic + Send + 'static>(
 ) -> Result<String, String> {
     let spec = ctx.spec;
     let paced_ops = |share: f64| (spec.paced_rate * secs * share).round().max(1.0) as usize;
-    let flood_for = |share: f64| Duration::from_secs_f64(secs * share);
+    let flood = Mode::Flood(spec.flood_ops);
     let durable = spec.kind == Kind::Durable;
     let mut tally = Tally::default();
     let mut m = Metrics::default();
     if !traced {
-        let flood = phase::run_phase(
-            ctx,
-            &make,
-            Mode::Flood(flood_for(0.6)),
-            false,
-            "flood",
-            Recovery::Timed,
-        )?;
-        summary("flood", &flood);
+        // One serving session (a flood, then the paced phase) gives the
+        // peak memory; then floods of the same fixed work from fresh
+        // engines follow until half the run has been spent flooding, and
+        // throughput is the median over all floods. Repeated floods leave
+        // allocator fragmentation behind that no single session has, so
+        // they come after the peak.
+        let first = phase::run_phase(ctx, &make, flood, false, "flood", Recovery::Timed)?;
+        summary("flood", &first);
         let paced = phase::run_phase(
             ctx,
             &make,
@@ -210,19 +209,32 @@ fn run_kind<S: FullyDynamic + Send + 'static>(
             Recovery::Exact,
         )?;
         summary("paced", &paced);
-        let mut setup = vec![flood.setup_s, paced.setup_s];
+        let peak_rss = peak_rss_mib();
+        let mut floods = vec![first];
+        while floods.iter().map(|f| f.wall_s).sum::<f64>() < secs * 0.5 {
+            let f = phase::run_phase(ctx, &make, flood, false, "flood", Recovery::Checked)?;
+            summary("flood", &f);
+            floods.push(f);
+        }
+        let mut setup: Vec<f64> = floods.iter().map(|f| f.setup_s).collect();
+        setup.push(paced.setup_s);
         repeat_timed(&mut setup, || phase::setup_sample(ctx, &make, "setup"))?;
         let recover = if durable {
-            flood.recover_s.clone()
+            floods[0].recover_s.clone()
         } else {
             phase::offline_recovery(ctx, &make, &mut tally)?
         };
-        m.put("updates_per_s", flood.sent as f64 / flood.wall_s, "1/s");
-        m.put("read_p50_ms", median(&flood.reads_ms), "ms");
-        m.put("read_p90_ms", quantile(&flood.reads_ms, 0.9), "ms");
+        let rates: Vec<f64> = floods.iter().map(|f| f.sent as f64 / f.wall_s).collect();
+        let reads: Vec<f64> = floods
+            .iter()
+            .flat_map(|f| f.reads_ms.iter().copied())
+            .collect();
+        m.put("updates_per_s", median(&rates), "1/s");
+        m.put("read_p50_ms", median(&reads), "ms");
+        m.put("read_p90_ms", quantile(&reads, 0.9), "ms");
         m.put("recover_s", median(&recover), "s");
         m.put("setup_s", median(&setup), "s");
-        m.put("peak_rss_mib", peak_rss_mib(), "MiB");
+        m.put("peak_rss_mib", peak_rss, "MiB");
         // Averaged over fixed positions of the paced stream: the engines'
         // output size saws with their rebuild cycles, so an end-state
         // sample is noisy, and the flood reaches further into the stream
@@ -240,10 +252,11 @@ fn run_kind<S: FullyDynamic + Send + 'static>(
                 .join(" ")
         };
         eprintln!(
-            "samples: reads {}, probes {}, follower probes {}\nsetup_s samples: {}\nrecover_s samples: {}",
-            flood.reads_ms.len(),
+            "samples: reads {}, probes {}, follower probes {}\nflood rates: {}\nsetup_s samples: {}\nrecover_s samples: {}",
+            reads.len(),
             paced.visible_ms.len(),
             paced.follower_visible_ms.len(),
+            fmt_s(&rates),
             fmt_s(&setup),
             fmt_s(&recover)
         );
@@ -255,26 +268,14 @@ fn run_kind<S: FullyDynamic + Send + 'static>(
             quantile(&paced.visible_ms, 0.9),
             median(&paced.follower_visible_ms)
         );
-        tally.merge(flood.tally);
+        for f in floods {
+            tally.merge(f.tally);
+        }
         tally.merge(paced.tally);
     } else {
-        let reference = phase::run_phase(
-            ctx,
-            &make,
-            Mode::Flood(flood_for(0.25)),
-            false,
-            "ref",
-            Recovery::Timed,
-        )?;
+        let reference = phase::run_phase(ctx, &make, flood, false, "ref", Recovery::Checked)?;
         summary("flood untraced", &reference);
-        let flood = phase::run_phase(
-            ctx,
-            &make,
-            Mode::Flood(flood_for(0.25)),
-            true,
-            "flood",
-            Recovery::Timed,
-        )?;
+        let flood = phase::run_phase(ctx, &make, flood, true, "flood", Recovery::Checked)?;
         summary("flood traced", &flood);
         let paced = phase::run_phase(
             ctx,

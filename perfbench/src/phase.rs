@@ -30,15 +30,21 @@ pub struct Ctx<'a> {
 
 #[derive(Debug, Clone, Copy)]
 pub enum Mode {
-    /// Push the stream as fast as backpressure allows for this long.
-    Flood(Duration),
+    /// Push this many updates of the stream (plus, on a durable
+    /// workload, up to the next snapshot and a short tail) as fast as
+    /// backpressure allows. The flood is a fixed amount of work, not a
+    /// fixed time: the engines' cost per update changes along the stream,
+    /// so a time-boxed flood would measure how far a run got as well.
+    Flood(usize),
     /// Open loop: this many updates at `Spec::paced_rate`.
     Paced(usize),
 }
 
 /// What the durable phase leaves behind for recovery checks.
 pub enum Recovery {
-    /// Time `recover` from the latest snapshot + log (see
+    /// Recover from the latest snapshot + log and check the result.
+    Checked,
+    /// As `Checked`, then time `recover` of the same pair (see
     /// [`repeat_timed`]).
     Timed,
     /// Recover from the initial snapshot + full log and require the
@@ -232,8 +238,9 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
         let mut snap_at: Option<u64> = None;
         let mut tail_left = usize::MAX;
         let mut send_failed = false;
+        let mut reached: Option<Instant> = None;
         match mode {
-            Mode::Flood(dur) => 'flood: loop {
+            Mode::Flood(ops) => 'flood: loop {
                 for _ in 0..64.min(tail_left) {
                     tail_left -= 1;
                     let sp = producer.begin("client.send", 0);
@@ -246,18 +253,24 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
                     }
                     p += 1;
                 }
-                if t0.elapsed() < dur {
+                if p < ops {
                     continue;
                 }
                 // A durable flood ends a fixed tail after a snapshot, so
                 // the timed recovery replays the same amount of log.
-                if spec.kind != Kind::Durable || t0.elapsed() > dur + Duration::from_secs(10) {
+                let reached = *reached.get_or_insert_with(Instant::now);
+                if spec.kind != Kind::Durable || reached.elapsed() > Duration::from_secs(10) {
                     break;
                 }
                 let seq = read.pin().seq();
                 let every = spec.snapshot_every;
                 match snap_at {
-                    None => snap_at = Some((seq / every + 1) * every),
+                    // The first snapshot at or after the flood's last
+                    // batch: the same one in every run.
+                    None => {
+                        let last_batch = p.div_ceil(spec.batch) as u64;
+                        snap_at = Some(last_batch.div_ceil(every) * every);
+                    }
                     Some(at) if seq >= at => {
                         tail_left = tail_left.min(RECOVERY_TAIL_BATCHES * spec.batch)
                     }
@@ -417,7 +430,7 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
     out.live = live.into_iter().collect();
     if durable {
         match recovery {
-            Recovery::Timed => {
+            Recovery::Checked | Recovery::Timed => {
                 let snap = dir.join("snap");
                 let log = dir.join("log");
                 let r = recover::<S>(ctx, make, &snap, &log)?;
@@ -434,13 +447,15 @@ pub fn run_phase<S: FullyDynamic + Send + 'static>(
                     });
                 stretch_check(ctx, &out.live, &r.engine.output_edges_vec(), &mut out.tally);
                 drop(r);
-                repeat_timed(&mut out.recover_s, || {
-                    let t = Instant::now();
-                    let r = recover::<S>(ctx, make, &snap, &log)?;
-                    let dt = t.elapsed().as_secs_f64();
-                    drop(r);
-                    Ok(dt)
-                })?;
+                if matches!(recovery, Recovery::Timed) {
+                    repeat_timed(&mut out.recover_s, || {
+                        let t = Instant::now();
+                        let r = recover::<S>(ctx, make, &snap, &log)?;
+                        let dt = t.elapsed().as_secs_f64();
+                        drop(r);
+                        Ok(dt)
+                    })?;
+                }
             }
             Recovery::Exact => {
                 let r = recover::<S>(ctx, make, &dir.join("snap0"), &dir.join("log"))?;
