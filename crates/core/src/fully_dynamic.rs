@@ -25,6 +25,15 @@ enum Slot {
     Instance(Box<DecrementalSpanner>),
 }
 
+/// Where a live edge is stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owner {
+    /// In E₀, at this position of `e0` (so deleting it is O(1)).
+    E0(usize),
+    /// In slot i ≥ 1 (`slots[i - 1]`).
+    Slot(u32),
+}
+
 /// Fully-dynamic (2k−1)-spanner (Theorem 1.1).
 pub struct FullyDynamicSpanner {
     n: usize,
@@ -33,8 +42,8 @@ pub struct FullyDynamicSpanner {
     /// E₀: small buffer whose edges are all in the spanner.
     e0: Vec<Edge>,
     slots: Vec<Slot>,
-    /// edge -> owning slot (0 = E₀, i ≥ 1 = slots[i-1]).
-    index: FxHashMap<Edge, u32>,
+    /// edge -> where it is stored.
+    index: FxHashMap<Edge, Owner>,
     spanner: SpannerSet,
     seed: u64,
     rebuilds: u64,
@@ -161,7 +170,7 @@ impl FullyDynamicSpanner {
             self.spanner.add(e);
         }
         for e in edges {
-            self.index.insert(e, j);
+            self.index.insert(e, Owner::Slot(j));
         }
         self.slots[j as usize - 1] = Slot::Instance(Box::new(inst));
     }
@@ -247,7 +256,7 @@ impl FullyDynamicSpanner {
         if !ur.is_empty() {
             if (self.e0.len() + ur.len()) as u64 <= cap0 {
                 for e in ur {
-                    self.index.insert(e, 0);
+                    self.index.insert(e, Owner::E0(self.e0.len()));
                     self.spanner.add(e);
                     self.e0.push(e);
                 }
@@ -287,37 +296,34 @@ impl FullyDynamicSpanner {
     }
 
     fn delete_inner(&mut self, deleted: &[Edge]) {
-        // Group by owning slot.
+        // E₀ deletes happen in place; slot deletes group by slot.
         let mut by_slot: FxHashMap<u32, Vec<Edge>> = FxHashMap::default();
         for e in deleted {
-            let slot = self
-                .index
-                .remove(e)
-                .unwrap_or_else(|| panic!("delete of absent edge {e:?}"));
-            by_slot.entry(slot).or_default().push(*e);
+            match self.index.remove(e) {
+                Some(Owner::E0(pos)) => {
+                    self.e0.swap_remove(pos);
+                    if let Some(&moved) = self.e0.get(pos) {
+                        self.index.insert(moved, Owner::E0(pos));
+                    }
+                    self.spanner.remove(*e);
+                }
+                Some(Owner::Slot(slot)) => by_slot.entry(slot).or_default().push(*e),
+                None => panic!("delete of absent edge {e:?}"),
+            }
         }
         for (slot, edges) in by_slot {
-            if slot == 0 {
-                for e in edges {
-                    // bds:allow(no-unwrap): structure invariant named in the message; corrupt state must fail fast, not propagate.
-                    let pos = self.e0.iter().position(|&x| x == e).expect("E0 edge");
-                    self.e0.swap_remove(pos);
-                    self.spanner.remove(e);
-                }
-            } else {
-                let mut scratch = std::mem::take(&mut self.scratch);
-                let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
-                    panic!("indexed slot {slot} is empty")
-                };
-                d.delete_batch_into(&edges, &mut scratch);
-                for &e in scratch.deleted() {
-                    self.spanner.remove(e);
-                }
-                for &e in scratch.inserted() {
-                    self.spanner.add(e);
-                }
-                self.scratch = scratch;
+            let mut scratch = std::mem::take(&mut self.scratch);
+            let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
+                panic!("indexed slot {slot} is empty")
+            };
+            d.delete_batch_into(&edges, &mut scratch);
+            for &e in scratch.deleted() {
+                self.spanner.remove(e);
             }
+            for &e in scratch.inserted() {
+                self.spanner.add(e);
+            }
+            self.scratch = scratch;
         }
     }
 
@@ -391,9 +397,16 @@ impl FullyDynamicSpanner {
                 total += m;
                 d.validate();
                 for e in d.live_edges() {
-                    assert_eq!(self.index.get(&e), Some(&(i as u32 + 1)), "index wrong");
+                    assert_eq!(
+                        self.index.get(&e),
+                        Some(&Owner::Slot(i as u32 + 1)),
+                        "index wrong"
+                    );
                 }
             }
+        }
+        for (pos, e) in self.e0.iter().enumerate() {
+            assert_eq!(self.index.get(e), Some(&Owner::E0(pos)), "E0 index wrong");
         }
         assert_eq!(total, self.index.len(), "index size mismatch");
         assert!(self.e0.len() as u64 <= self.capacity(0), "E0 overflow");

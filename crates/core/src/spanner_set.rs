@@ -8,7 +8,7 @@
 //! per-batch netting (an edge that bounces within one batch reports
 //! nothing).
 
-use bds_dstruct::EdgeTable;
+use bds_dstruct::{EdgeTable, FirstTouch};
 use bds_graph::api::DeltaBuf;
 use bds_graph::types::{Edge, SpannerDelta};
 
@@ -17,8 +17,8 @@ pub struct SpannerSet {
     /// Canonical edge -> refcount (packed-key flat table; counts > 0).
     count: EdgeTable,
     /// Presence at the start of the current batch (0/1), recorded on
-    /// first touch.
-    baseline: EdgeTable,
+    /// first touch; draining it costs O(edges touched).
+    baseline: FirstTouch,
 }
 
 impl SpannerSet {
@@ -28,10 +28,9 @@ impl SpannerSet {
 
     #[inline]
     fn touch(&mut self, e: Edge) {
-        if self.baseline.get(e.u, e.v).is_none() {
-            let present = self.count.contains(e.u, e.v);
-            self.baseline.insert(e.u, e.v, present as u64);
-        }
+        let count = &self.count;
+        self.baseline
+            .record_with(e.u, e.v, || count.contains(e.u, e.v) as u64);
     }
 
     /// Add one reason for `e` to be in the spanner.
@@ -83,9 +82,9 @@ impl SpannerSet {
     }
 
     /// Net membership changes since the last call (or construction),
-    /// written into a caller-owned buffer. Allocation-free once `out`
-    /// and the baseline table have warmed up — the delta path of every
-    /// steady-state batch loop.
+    /// written into a caller-owned buffer in first-touch order. Costs
+    /// O(edges touched since the last call), and is allocation-free
+    /// once `out` and the baseline have warmed up.
     pub fn take_delta_into(&mut self, out: &mut DeltaBuf) {
         out.clear();
         let count = &self.count;

@@ -436,6 +436,26 @@ impl EdgeTable {
         }
     }
 
+    /// Index of the slot holding `key`, if present.
+    #[inline]
+    fn find_slot(&self, key: u64) -> Option<usize> {
+        if self.len == 0 {
+            return None;
+        }
+        let mask = self.mask;
+        let (mut i, _) = hash_pair(key, mask);
+        loop {
+            let k = self.slot(i).key;
+            if k == key {
+                return Some(i);
+            }
+            if k == EMPTY {
+                return None;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
     /// Remove; returns the value if present. Deletion plants a cheap
     /// tombstone; accumulated tombstones are dropped wholesale by the
     /// next load-factor rebuild (see [`EdgeTable::reserve`]), keeping
@@ -446,21 +466,7 @@ impl EdgeTable {
     }
 
     pub fn remove_key(&mut self, key: u64) -> Option<u64> {
-        if self.len == 0 {
-            return None;
-        }
-        let mask = self.mask;
-        let (mut i, _) = hash_pair(key, mask);
-        loop {
-            let k = self.slot(i).key;
-            if k == key {
-                break;
-            }
-            if k == EMPTY {
-                return None;
-            }
-            i = (i + 1) & mask;
-        }
+        let i = self.find_slot(key)?;
         let out = self.slot(i).val;
         self.slot_mut(i).key = TOMB_KEY;
         self.set_tag(i, TAG_TOMB);
@@ -698,24 +704,51 @@ impl EdgeTable {
         })
     }
 
-    /// Drain every live entry, leaving the table empty (capacity kept).
-    pub fn drain(&mut self) -> Vec<(u32, u32, u64)> {
-        let out: Vec<(u32, u32, u64)> = self.iter().collect();
-        self.clear();
-        out
+    /// Hand the entries under `keys` to `f`, in `keys` order, then reset
+    /// just their slots: O(`keys.len()`) work, where [`EdgeTable::clear`]
+    /// pays O(capacity). `keys` must name every live entry exactly once,
+    /// so the table ends empty; it serves as scratch and is left empty.
+    /// Returns the number of slots reset.
+    pub(crate) fn drain_keys(
+        &mut self,
+        keys: &mut Vec<u64>,
+        mut f: impl FnMut(u32, u32, u64),
+    ) -> usize {
+        debug_assert_eq!(
+            keys.len(),
+            self.len,
+            "drain_keys must name every live entry"
+        );
+        // Walk first, reset after: freeing a slot mid-walk would cut the
+        // probe chain of a key not yet visited. Each key's slot index
+        // takes its place in `keys` between the two passes.
+        for k in keys.iter_mut() {
+            let i = self.find_slot(*k);
+            debug_assert!(i.is_some(), "drain_keys of absent key {:?}", unpack(*k));
+            if let Some(i) = i {
+                let (u, v) = unpack(*k);
+                f(u, v, self.slot(i).val);
+            }
+            *k = i.map_or(u64::MAX, |i| i as u64);
+        }
+        let reset = self.free_slots(keys.iter().map(|&i| i as usize));
+        keys.clear();
+        self.len = 0;
+        reset
     }
 
-    /// Drain every live entry through a callback, leaving the table empty
-    /// (capacity kept). Unlike [`EdgeTable::drain`] this performs no heap
-    /// allocation — the delta-extraction hot path of every batch loop.
-    pub fn drain_with(&mut self, mut f: impl FnMut(u32, u32, u64)) {
-        for s in &self.slots {
-            if s.key < TOMB_KEY {
-                let (u, v) = unpack(s.key);
-                f(u, v, s.val);
+    /// Mark the given slots never-used (indices past the end are
+    /// skipped); returns how many were visited.
+    fn free_slots(&mut self, slots: impl IntoIterator<Item = usize>) -> usize {
+        let mut visited = 0;
+        for i in slots {
+            if let (Some(s), Some(t)) = (self.slots.get_mut(i), self.tags.get_mut(i)) {
+                *s = FREE;
+                *t = TAG_FREE;
+                visited += 1;
             }
         }
-        self.clear();
+        visited
     }
 
     /// Ensure ⅝-load headroom (live entries *and* tombstones count
@@ -945,10 +978,18 @@ mod tests {
         assert!(seen
             .iter()
             .all(|&(u, v, val)| v == 1000 - u && val == u as u64));
-        let drained = t.drain();
-        assert_eq!(drained.len(), 100);
+        let mut keys: Vec<u64> = seen.iter().rev().map(|&(u, v, _)| pack(u, v)).collect();
+        let mut drained = Vec::new();
+        let reset = t.drain_keys(&mut keys, |u, v, val| drained.push((u, v, val)));
+        assert_eq!(reset, 100);
+        assert!(keys.is_empty());
+        drained.reverse();
+        assert_eq!(drained, seen, "drained in key order with their values");
         assert!(t.is_empty());
         assert_eq!(t.get(5, 995), None);
+        assert!(t.iter().next().is_none(), "every drained slot was reset");
+        t.insert(5, 995, 7);
+        assert_eq!(t.get(5, 995), Some(7));
     }
 
     #[test]

@@ -24,17 +24,23 @@
 //!   construction / lookup. Replaces the tuple-keyed `FxHashMap`s the
 //!   seed used in `EsTree`, `DecrementalSpanner`, `SpannerSet`,
 //!   `ContractLevel`, `DynamicGraph`, and the sparsifier layers.
+//! * [`first_touch`] — the per-batch first-touch baseline of the
+//!   delta-netting sets: an [`EdgeTable`] plus a journal of the keys
+//!   recorded since the last drain, so draining costs O(keys touched)
+//!   rather than O(table capacity).
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod edge_table;
 pub mod euler;
+pub mod first_touch;
 pub mod flat_list;
 pub mod fx;
 pub mod hdt;
 pub mod priority_list;
 
 pub use edge_table::EdgeTable;
+pub use first_touch::FirstTouch;
 pub use flat_list::FlatList;
 pub use fx::{FxHashMap, FxHashSet};
 pub use hdt::{DynamicForest, ForestDelta};

@@ -322,7 +322,7 @@ impl DecrementalSparsifier {
                 self.sparsifier.remove(e);
             }
         }
-        for (u, v, _) in self.terminal.drain() {
+        for (u, v, _) in self.terminal.iter() {
             self.sparsifier.remove(Edge { u, v });
         }
         self.levels.truncate(cut);

@@ -5,7 +5,7 @@
 //! `f64`s stored bit-packed in a flat [`EdgeTable`] (0.0 encodes
 //! "absent" in the baseline, exactly as the hash-map version used it).
 
-use bds_dstruct::EdgeTable;
+use bds_dstruct::{EdgeTable, FirstTouch};
 use bds_graph::api::DeltaBuf;
 use bds_graph::types::Edge;
 
@@ -26,8 +26,9 @@ impl WeightedDeltaSet {
 pub struct WeightedSet {
     /// Canonical edge -> weight bits.
     weight: EdgeTable,
-    /// weight bits at batch start for touched edges (0.0 = absent).
-    baseline: EdgeTable,
+    /// weight bits at batch start for touched edges (0.0 = absent),
+    /// recorded on first touch; draining it costs O(edges touched).
+    baseline: FirstTouch,
 }
 
 impl WeightedSet {
@@ -36,10 +37,10 @@ impl WeightedSet {
     }
 
     fn touch(&mut self, e: Edge) {
-        if self.baseline.get(e.u, e.v).is_none() {
-            let w = self.weight.get(e.u, e.v).unwrap_or(0.0f64.to_bits());
-            self.baseline.insert(e.u, e.v, w);
-        }
+        let weight = &self.weight;
+        self.baseline.record_with(e.u, e.v, || {
+            weight.get(e.u, e.v).unwrap_or(0.0f64.to_bits())
+        });
     }
 
     /// Insert `e` at `w`; panics if already present (owners are disjoint).
@@ -87,9 +88,10 @@ impl WeightedSet {
     }
 
     /// Net weighted changes since the last call, written into a
-    /// caller-owned buffer (weight lane populated). Allocation-free once
-    /// `out` and the baseline table have warmed up. A cross-level
-    /// reweighting reports as deletion-at-old-weight plus
+    /// caller-owned buffer (weight lane populated) in first-touch order.
+    /// Costs O(edges touched since the last call), and is
+    /// allocation-free once `out` and the baseline have warmed up. A
+    /// cross-level reweighting reports as deletion-at-old-weight plus
     /// insertion-at-new-weight.
     pub fn take_delta_into(&mut self, out: &mut DeltaBuf) {
         out.clear();

@@ -20,6 +20,7 @@
 #   d  FsyncPolicy::EveryBatch stops syncing     caught by: recovery suite (tier 4)
 #   e  WAL append_batch stamps the delta tag     caught by: bds_lint wal-drift (tier 1)
 #   f  coalescer swap-remove index off by one    caught by: model check (bds_graph)
+#   g  baseline drain sweeps the whole capacity  caught by: first_touch unit tests (tier 3)
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -30,10 +31,11 @@ describe() {
   case "$1" in
     a) echo "dbuf publish store SeqCst -> Relaxed (torn publish becomes possible)" ;;
     b) echo "dbuf pin increment SeqCst -> Relaxed (writer can miss a reader's pin)" ;;
-    c) echo "WAL decode_body drops the delta seq stamp (followers lose ordering)" ;;
+    c) echo "WAL delta decode drops the seq stamp (followers lose ordering)" ;;
     d) echo "FsyncPolicy::EveryBatch silently stops syncing (durability contract broken)" ;;
     e) echo "WAL append_batch stamps KIND_DELTA (encode/decode tag drift)" ;;
     f) echo "coalescer cancel swap-remove reindexes off by one (pending map corrupt)" ;;
+    g) echo "first-touch baseline drain resets every slot (O(capacity), not O(touched))" ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -84,6 +86,13 @@ plan() {
       to='map.insert(moved, i + 1);'
       catcher='RUSTFLAGS="--cfg bds_model" cargo test -q -p bds_graph --lib model_'
       ;;
+    g)
+      file="crates/dstruct/src/edge_table.rs"
+      needle='let reset = self.free_slots(keys.iter().map(|&i| i as usize));'
+      from='keys.iter().map(|&i| i as usize)'
+      to='0..self.capacity()'
+      catcher='cargo test -q -p bds_dstruct --lib first_touch'
+      ;;
     *) echo "unknown mutant '$1'" >&2; exit 2 ;;
   esac
 }
@@ -131,7 +140,7 @@ run_mutant() {
 }
 
 main() {
-  local all=(a b c d e f)
+  local all=(a b c d e f g)
   if [ "${1:-}" = "--list" ]; then
     for id in "${all[@]}"; do
       echo "$id  $(describe "$id")"

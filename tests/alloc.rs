@@ -223,4 +223,54 @@ fn delta_path_is_allocation_free_after_warmup() {
             "replicated sharded fan-out allocated after warm-up"
         );
     });
+
+    // --- 6. FollowerView::catch_up: tailing the log (read the new
+    //        bytes, frame and checksum each record, decode deltas into
+    //        one reused buffer, walk batch records in place, apply to
+    //        the mirrored view) is exactly zero once warm. The writer
+    //        logs what a durable serve loop logs per batch: the input
+    //        batch, then its output delta. Only catch_up is counted. ---
+    {
+        use bds_graph::wal::{FollowerView, FsyncPolicy, WalWriter};
+        let n = 64;
+        let edges = gen::gnm(n, 256, 23);
+        let (core, churn) = edges.split_at(192);
+        let log = std::path::PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("alloc_follower.wal");
+        let mut wal = WalWriter::create(&log, 1, 0, n as u64, 0, FsyncPolicy::Manual).unwrap();
+        wal.append_seed(0, core).unwrap();
+        let ins = UpdateBatch::insert_only(churn.to_vec());
+        let del = UpdateBatch::delete_only(churn.to_vec());
+        let mut seq = 0u64;
+        let mut append_round = |wal: &mut WalWriter, delta: &mut DeltaBuf| {
+            for batch in [&ins, &del] {
+                seq += 1;
+                delta.clear();
+                for &e in &batch.insertions {
+                    delta.push_ins(e);
+                }
+                for &e in &batch.deletions {
+                    delta.push_del(e);
+                }
+                delta.stamp_seq(seq);
+                wal.append_batch(seq, batch).unwrap();
+                wal.append_delta(delta).unwrap();
+            }
+        };
+        let mut fv = FollowerView::open(&log).unwrap();
+        for _ in 0..2 {
+            append_round(&mut wal, &mut buf);
+            assert_eq!(fv.catch_up().unwrap(), 2);
+        }
+        let mut counted = 0;
+        for _ in 0..10 {
+            append_round(&mut wal, &mut buf);
+            let before = allocs();
+            let applied = fv.catch_up().unwrap();
+            counted += allocs() - before;
+            assert_eq!(applied, 2);
+        }
+        assert_eq!(fv.view().len(), core.len(), "follower mirrors the log");
+        assert_eq!(counted, 0, "FollowerView::catch_up allocated after warm-up");
+        let _ = std::fs::remove_file(&log);
+    }
 }
