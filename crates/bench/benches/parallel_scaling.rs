@@ -4,6 +4,7 @@
 //! directly scales the per-batch wall clock.
 
 use bds_bundle::MonotoneSpanner;
+use bds_graph::api::{Decremental, DeltaBuf};
 use bds_graph::gen;
 use bds_par::run_with_threads;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -23,7 +24,13 @@ fn bench_scaling(c: &mut Criterion) {
                         let batch: Vec<_> = edges[..256].to_vec();
                         (s, batch)
                     },
-                    |(mut s, batch)| run_with_threads(p, move || s.delete_batch(&batch)),
+                    |(mut s, batch)| {
+                        run_with_threads(p, move || {
+                            let mut delta = DeltaBuf::new();
+                            s.delete_into(&batch, &mut delta);
+                            delta
+                        })
+                    },
                     criterion::BatchSize::LargeInput,
                 );
             },

@@ -6,6 +6,7 @@ use bds_baseline::RecomputeBaseline;
 use bds_bench::standard_workload;
 use bds_core::FullyDynamicSpanner;
 use bds_dstruct::FxHashSet;
+use bds_graph::api::{DeltaBuf, FullyDynamic};
 use bds_graph::types::{Edge, V};
 use bds_graph::DynamicGraph;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -18,9 +19,11 @@ fn bench_updates(c: &mut Criterion) {
         g.bench_with_input(BenchmarkId::new("dynamic_k3", b), &b, |bench, &b| {
             let (edges, mut stream) = standard_workload(n, 7);
             let mut s = FullyDynamicSpanner::new(n, 3, &edges, 11);
+            let mut delta = DeltaBuf::new();
             bench.iter(|| {
                 let batch = stream.next_batch(b / 2 + 1, b / 2);
-                s.process_batch(&batch)
+                s.apply_into(&batch, &mut delta);
+                delta.recourse()
             });
         });
         g.bench_with_input(BenchmarkId::new("recompute_k3", b), &b, |bench, &b| {

@@ -2,6 +2,7 @@
 //! depths t, plus initialization cost vs the static Koutis-style build.
 
 use bds_baseline::static_sparsifier;
+use bds_graph::api::{Decremental, DeltaBuf};
 use bds_graph::gen;
 use bds_graph::stream::UpdateStream;
 use bds_sparsify::DecrementalSparsifier;
@@ -21,7 +22,11 @@ fn bench_sparsifier(c: &mut Criterion) {
                     let batch = stream.next_deletions(64);
                     (s, batch)
                 },
-                |(mut s, batch)| s.delete_batch(&batch),
+                |(mut s, batch)| {
+                    let mut delta = DeltaBuf::new();
+                    s.delete_into(&batch, &mut delta);
+                    delta
+                },
                 criterion::BatchSize::LargeInput,
             );
         });

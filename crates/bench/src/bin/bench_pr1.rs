@@ -10,6 +10,7 @@
 use bds_core::FullyDynamicSpanner;
 use bds_dstruct::{EdgeTable, FxHashMap};
 use bds_estree::EsTree;
+use bds_graph::api::{DeltaBuf, FullyDynamic};
 use bds_graph::gen;
 use bds_graph::stream::UpdateStream;
 use bds_graph::types::{Edge, V};
@@ -92,11 +93,12 @@ fn spanner_numbers(n: usize, seed: u64) -> (f64, f64) {
     let mut stream = UpdateStream::new(n, &edges, seed ^ 0x5eed);
     let rounds = 12usize;
     let mut updates = 0usize;
+    let mut delta = DeltaBuf::new();
     let t0 = Instant::now();
     for _ in 0..rounds {
         let batch = stream.next_batch(64, 64);
         updates += batch.len();
-        s.process_batch(&batch);
+        s.apply_into(&batch, &mut delta);
     }
     let rate = updates as f64 / t0.elapsed().as_secs_f64();
     (init_ms, rate)

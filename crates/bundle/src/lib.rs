@@ -14,5 +14,5 @@
 pub mod bundle;
 pub mod monotone;
 
-pub use bundle::{BundleDelta, BundleSpanner, BundleSpannerBuilder};
+pub use bundle::{BundleSpanner, BundleSpannerBuilder};
 pub use monotone::{MonotoneSpanner, MonotoneSpannerBuilder};

@@ -17,7 +17,7 @@ use bds_dstruct::FxHashMap;
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
 };
-use bds_graph::types::{Edge, SpannerDelta, UpdateBatch};
+use bds_graph::types::{Edge, UpdateBatch};
 
 /// Slots ≥ 1 hold decremental instances; E₀ is the unstructured buffer.
 enum Slot {
@@ -51,6 +51,11 @@ pub struct FullyDynamicSpanner {
     /// Reusable buffer for slot-level deltas (keeps the steady-state
     /// delta path allocation-free).
     scratch: DeltaBuf,
+    /// Reused per-batch scratch: `edges` holds the sorted insert batch
+    /// U or one slot's run of deletes, `slot_dels` the slot deletes as
+    /// `(slot, edge)` pairs.
+    edges: Vec<Edge>,
+    slot_dels: Vec<(u32, Edge)>,
 }
 
 /// Typed builder for [`FullyDynamicSpanner`] (Theorem 1.1).
@@ -116,6 +121,8 @@ impl FullyDynamicSpanner {
             rebuilds: 0,
             recourse: 0,
             scratch: DeltaBuf::new(),
+            edges: Vec::new(),
+            slot_dels: Vec::new(),
         };
         if !edges.is_empty() {
             // Initial placement: smallest slot j ≥ 1 with |E| ≤ 2^{j+l0}.
@@ -123,9 +130,10 @@ impl FullyDynamicSpanner {
             while (edges.len() as u64) > s.capacity(j) {
                 j += 1;
             }
-            s.build_slot(j, edges.to_vec());
+            s.build_slot(j, edges);
         }
-        let _ = s.spanner.take_delta();
+        // The initial spanner is the baseline, not a delta.
+        s.spanner.take_delta_into(&mut s.scratch);
         s
     }
 
@@ -154,7 +162,7 @@ impl FullyDynamicSpanner {
 
     /// Install a fresh decremental instance into slot `j` (1-based) over
     /// `edges`, registering spanner contributions and the index.
-    fn build_slot(&mut self, j: u32, edges: Vec<Edge>) {
+    fn build_slot(&mut self, j: u32, edges: &[Edge]) {
         while self.slots.len() < j as usize {
             self.slots.push(Slot::Empty);
         }
@@ -165,11 +173,11 @@ impl FullyDynamicSpanner {
         );
         self.rebuilds += 1;
         let seed = self.next_seed();
-        let inst = DecrementalSpanner::new(self.n, self.k, &edges, seed);
+        let inst = DecrementalSpanner::new(self.n, self.k, edges, seed);
         for e in inst.spanner_edges() {
             self.spanner.add(e);
         }
-        for e in edges {
+        for &e in edges {
             self.index.insert(e, Owner::Slot(j));
         }
         self.slots[j as usize - 1] = Slot::Instance(Box::new(inst));
@@ -193,27 +201,16 @@ impl FullyDynamicSpanner {
         }
     }
 
-    /// Insert a batch of edges (must be absent; panics otherwise).
-    pub fn insert_batch(&mut self, inserted: &[Edge]) -> SpannerDelta {
-        self.insert_inner(inserted);
-        let delta = self.spanner.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSpanner::insert_batch`] reporting into a
-    /// caller-owned buffer.
-    pub fn insert_batch_into(&mut self, inserted: &[Edge], out: &mut DeltaBuf) {
-        self.insert_inner(inserted);
-        self.spanner.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
+    /// Insert a batch of absent edges (panics otherwise). Sorts and
+    /// splits inside the reused `edges` buffer; only a slot rebuild
+    /// allocates.
     fn insert_inner(&mut self, inserted: &[Edge]) {
         if inserted.is_empty() {
             return;
         }
-        let mut u: Vec<Edge> = inserted.to_vec();
+        let mut u = std::mem::take(&mut self.edges);
+        u.clear();
+        u.extend_from_slice(inserted);
         u.sort_unstable();
         u.dedup();
         assert_eq!(u.len(), inserted.len(), "duplicate edges in insert batch");
@@ -222,40 +219,37 @@ impl FullyDynamicSpanner {
         }
 
         // Split U into U_r ∪ U_0 ∪ U_1 ∪ … by the binary representation of
-        // |U| / 2^{l0}; process pieces largest-first (the paper's order).
+        // |U| / 2^{l0}; process pieces largest-first (the paper's order),
+        // each one the slice of U just below the previous piece.
         let cap0 = self.capacity(0);
         let q = u.len() as u64 / cap0;
         let r = (u.len() as u64 % cap0) as usize;
         let mut cursor = u.len();
-        let mut pieces: Vec<(u32, Vec<Edge>)> = Vec::new();
         for i in (0..62).rev() {
-            if q & (1 << i) != 0 {
-                let size = (cap0 << i) as usize;
-                let piece = u[cursor - size..cursor].to_vec();
-                cursor -= size;
-                pieces.push((i as u32, piece));
+            if q & (1 << i) == 0 {
+                continue;
             }
-        }
-        debug_assert_eq!(cursor, r);
-        let ur = u[..r].to_vec();
-
-        for (i, piece) in pieces {
+            let size = (cap0 << i) as usize;
+            let piece = &u[cursor - size..cursor];
+            cursor -= size;
             // First empty slot j ≥ max(i, 1), absorbing E_{max(i,1)}..E_{j−1}.
-            let lo = i.max(1);
+            let lo = (i as u32).max(1);
             let mut j = lo;
             while !self.slot_is_empty(j) {
                 j += 1;
             }
-            let mut merged = piece;
+            let mut merged = piece.to_vec();
             for s in lo..j {
                 merged.extend(self.drain_slot(s));
             }
-            self.build_slot(j, merged);
+            self.build_slot(j, &merged);
         }
+        debug_assert_eq!(cursor, r);
 
+        let ur = &u[..r];
         if !ur.is_empty() {
             if (self.e0.len() + ur.len()) as u64 <= cap0 {
-                for e in ur {
+                for &e in ur {
                     self.index.insert(e, Owner::E0(self.e0.len()));
                     self.spanner.add(e);
                     self.e0.push(e);
@@ -266,7 +260,7 @@ impl FullyDynamicSpanner {
                 while !self.slot_is_empty(j) {
                     j += 1;
                 }
-                let mut merged = ur;
+                let mut merged = ur.to_vec();
                 for e in self.e0.drain(..) {
                     self.spanner.remove(e);
                     merged.push(e);
@@ -274,79 +268,51 @@ impl FullyDynamicSpanner {
                 for s in 1..j {
                     merged.extend(self.drain_slot(s));
                 }
-                self.build_slot(j, merged);
+                self.build_slot(j, &merged);
             }
         }
+        self.edges = u;
     }
 
-    /// Delete a batch of edges (must be present; panics otherwise).
-    pub fn delete_batch(&mut self, deleted: &[Edge]) -> SpannerDelta {
-        self.delete_inner(deleted);
-        let delta = self.spanner.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSpanner::delete_batch`] reporting into a
-    /// caller-owned buffer.
-    pub fn delete_batch_into(&mut self, deleted: &[Edge], out: &mut DeltaBuf) {
-        self.delete_inner(deleted);
-        self.spanner.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
+    /// Delete a batch of present edges (panics otherwise).
     fn delete_inner(&mut self, deleted: &[Edge]) {
-        // E₀ deletes happen in place; slot deletes group by slot.
-        let mut by_slot: FxHashMap<u32, Vec<Edge>> = FxHashMap::default();
-        for e in deleted {
-            match self.index.remove(e) {
+        // E₀ deletes happen in place; slot deletes group by slot through
+        // reused sorted `(slot, edge)` pairs. Slots are independent, so
+        // the order they are visited in does not change the delta set.
+        let mut pairs = std::mem::take(&mut self.slot_dels);
+        pairs.clear();
+        for &e in deleted {
+            match self.index.remove(&e) {
                 Some(Owner::E0(pos)) => {
                     self.e0.swap_remove(pos);
                     if let Some(&moved) = self.e0.get(pos) {
                         self.index.insert(moved, Owner::E0(pos));
                     }
-                    self.spanner.remove(*e);
+                    self.spanner.remove(e);
                 }
-                Some(Owner::Slot(slot)) => by_slot.entry(slot).or_default().push(*e),
+                Some(Owner::Slot(slot)) => pairs.push((slot, e)),
                 None => panic!("delete of absent edge {e:?}"),
             }
         }
-        for (slot, edges) in by_slot {
-            let mut scratch = std::mem::take(&mut self.scratch);
+        pairs.sort_unstable();
+        let mut run = std::mem::take(&mut self.edges);
+        for group in pairs.chunk_by(|a, b| a.0 == b.0) {
+            let slot = group[0].0;
+            run.clear();
+            run.extend(group.iter().map(|&(_, e)| e));
             let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
                 panic!("indexed slot {slot} is empty")
             };
-            d.delete_batch_into(&edges, &mut scratch);
-            for &e in scratch.deleted() {
+            d.delete_into(&run, &mut self.scratch);
+            for &e in self.scratch.deleted() {
                 self.spanner.remove(e);
             }
-            for &e in scratch.inserted() {
+            for &e in self.scratch.inserted() {
                 self.spanner.add(e);
             }
-            self.scratch = scratch;
         }
-    }
-
-    /// Apply one mixed batch (deletions, then insertions) atomically.
-    /// The per-batch netting that used to run through an edge-score hash
-    /// map now falls out of the [`SpannerSet`] baseline: both phases
-    /// record against one batch baseline and a single delta extraction
-    /// nets them — no allocation on the delta path.
-    pub fn process_batch(&mut self, batch: &UpdateBatch) -> SpannerDelta {
-        self.delete_inner(&batch.deletions);
-        self.insert_inner(&batch.insertions);
-        let delta = self.spanner.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSpanner::process_batch`] reporting into a
-    /// caller-owned buffer.
-    pub fn process_batch_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.delete_inner(&batch.deletions);
-        self.insert_inner(&batch.insertions);
-        self.spanner.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
+        self.slot_dels = pairs;
+        self.edges = run;
     }
 
     /// Current spanner edge set.
@@ -450,17 +416,27 @@ impl BatchDynamic for FullyDynamicSpanner {
 
 impl Decremental for FullyDynamicSpanner {
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_into(deletions, out);
+        self.delete_inner(deletions);
+        self.spanner.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
 impl FullyDynamic for FullyDynamicSpanner {
     fn insert_into(&mut self, insertions: &[Edge], out: &mut DeltaBuf) {
-        self.insert_batch_into(insertions, out);
+        self.insert_inner(insertions);
+        self.spanner.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 
+    /// Deletions, then insertions. Both phases record against one
+    /// [`SpannerSet`] batch baseline, so a single delta extraction nets
+    /// them.
     fn apply_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.process_batch_into(batch, out);
+        self.delete_inner(&batch.deletions);
+        self.insert_inner(&batch.insertions);
+        self.spanner.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
@@ -488,12 +464,13 @@ mod tests {
         let mut s = FullyDynamicSpanner::new(n, k, &init, 11);
         let mut stream = UpdateStream::new(n, &init, 13);
         let mut shadow: FxHashSet<Edge> = s.spanner_edges().into_iter().collect();
+        let mut d = DeltaBuf::new();
         for round in 0..25 {
             let b = stream.next_batch(8, 6);
-            let d1 = s.delete_batch(&b.deletions);
-            d1.apply_to(&mut shadow);
-            let d2 = s.insert_batch(&b.insertions);
-            d2.apply_to(&mut shadow);
+            s.delete_into(&b.deletions, &mut d);
+            d.apply_to(&mut shadow);
+            s.insert_into(&b.insertions, &mut d);
+            d.apply_to(&mut shadow);
             s.validate();
             let mut got = s.spanner_edges();
             let mut want: Vec<Edge> = shadow.iter().copied().collect();
@@ -511,8 +488,9 @@ mod tests {
         let mut s = FullyDynamicSpanner::new(n, 3, &[], 17);
         let all = gen::gnm(n, 400, 19);
         let mut shadow: FxHashSet<Edge> = FxHashSet::default();
+        let mut d = DeltaBuf::new();
         for chunk in all.chunks(37) {
-            let d = s.insert_batch(chunk);
+            s.insert_into(chunk, &mut d);
             d.apply_to(&mut shadow);
             s.validate();
         }
@@ -524,8 +502,9 @@ mod tests {
         let n = 40;
         let edges = gen::gnm(n, 120, 23);
         let mut s = FullyDynamicSpanner::new(n, 2, &edges, 29);
+        let mut d = DeltaBuf::new();
         for chunk in edges.chunks(11) {
-            s.delete_batch(chunk);
+            s.delete_into(chunk, &mut d);
             s.validate();
         }
         assert_eq!(s.num_live_edges(), 0);
@@ -539,9 +518,10 @@ mod tests {
         let mut s = FullyDynamicSpanner::new(n, 2, &init, 37);
         let mut stream = UpdateStream::new(n, &init, 41);
         let mut shadow: FxHashSet<Edge> = s.spanner_edges().into_iter().collect();
+        let mut d = DeltaBuf::new();
         for _ in 0..15 {
             let b = stream.next_batch(5, 5);
-            let d = s.process_batch(&b);
+            s.apply_into(&b, &mut d);
             d.apply_to(&mut shadow);
             let mut got = s.spanner_edges();
             let mut want: Vec<Edge> = shadow.iter().copied().collect();

@@ -406,15 +406,6 @@ impl DeltaBuf {
             assert!(old.is_none(), "delta inserts duplicate edge {e:?}");
         }
     }
-
-    /// Materialize as a [`crate::types::SpannerDelta`] (allocates; for
-    /// interop with the legacy per-batch delta types).
-    pub fn to_delta(&self) -> crate::types::SpannerDelta {
-        crate::types::SpannerDelta {
-            inserted: self.inserted().to_vec(),
-            deleted: self.deleted().to_vec(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

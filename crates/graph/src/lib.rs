@@ -33,6 +33,6 @@ pub use shard::{
     HashPartitioner, MirrorSpanner, Partitioner, ShardedEngine, ShardedEngineBuilder, ShardedView,
     VertexRangePartitioner,
 };
-pub use types::{Edge, SpannerDelta, UpdateBatch, V};
+pub use types::{Edge, UpdateBatch, V};
 pub use union_find::UnionFind;
 pub use wal::{FollowerView, FsyncPolicy, RecoverError, Recovered, Snapshot, WalConfig, WalWriter};

@@ -1,8 +1,8 @@
 //! A counting [`GlobalAlloc`] wrapper over the system allocator, shared
-//! by the zero-alloc delta-path test (`tests/alloc.rs` in the facade)
-//! and the `bench_pr3` snapshot so both count with identical rules
-//! (every `alloc`/`alloc_zeroed`/`realloc` call is one event; `dealloc`
-//! is free).
+//! by the zero-alloc delta-path test (`tests/alloc.rs` in the facade),
+//! the `bench_pr4` snapshot and the `perfbench` traced run so all count
+//! with identical rules (every `alloc`/`alloc_zeroed`/`realloc` call is
+//! one event; `dealloc` is free).
 //!
 //! Each binary still declares its own registration:
 //!

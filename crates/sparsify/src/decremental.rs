@@ -15,7 +15,7 @@
 //! there, exactly as the paper prescribes ("we destroy the data structure
 //! and reduce k accordingly").
 
-use crate::weighted_set::{WeightedDeltaSet, WeightedSet};
+use crate::weighted_set::WeightedSet;
 use bds_bundle::BundleSpanner;
 use bds_dstruct::fx::mix64;
 use bds_dstruct::{EdgeTable, FxHashSet};
@@ -24,9 +24,6 @@ use bds_graph::api::{
     BatchStats, ConfigError, Decremental, DeltaBuf,
 };
 use bds_graph::types::Edge;
-
-/// Weighted (δH_ins, δH_del) pair of Theorem 1.6's interface.
-pub type WeightedDelta = WeightedDeltaSet;
 
 /// Decremental (1±ε) spectral sparsifier (Lemma 6.6).
 pub struct DecrementalSparsifier {
@@ -173,7 +170,8 @@ impl DecrementalSparsifier {
             this.sparsifier.insert(e, w);
         }
         this.terminal = gi.into_iter().map(|e| (e.u, e.v, 0)).collect();
-        let _ = this.sparsifier.take_delta();
+        // The initial sparsifier is the baseline, not a delta.
+        this.sparsifier.take_delta_into(&mut this.level_scratch);
         this
     }
 
@@ -241,22 +239,6 @@ impl DecrementalSparsifier {
         self.sparsifier.len()
     }
 
-    /// Delete a batch of live G₀ edges; returns the weighted delta.
-    pub fn delete_batch(&mut self, batch: &[Edge]) -> WeightedDelta {
-        self.delete_inner(batch);
-        let delta = self.sparsifier.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`DecrementalSparsifier::delete_batch`] reporting into a
-    /// caller-owned buffer (weight lane populated).
-    pub fn delete_batch_into(&mut self, batch: &[Edge], out: &mut DeltaBuf) {
-        self.delete_inner(batch);
-        self.sparsifier.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
     fn delete_inner(&mut self, batch: &[Edge]) {
         let mut xi: Vec<Edge> = batch.to_vec();
         // A promotion at level i may still be owned by a *deeper* level
@@ -269,7 +251,7 @@ impl DecrementalSparsifier {
                 break;
             }
             let w = 4f64.powi(i as i32);
-            self.levels[i].delete_batch_into(&xi, &mut scratch);
+            self.levels[i].delete_into(&xi, &mut scratch);
             for &e in scratch.deleted() {
                 self.sparsifier.remove(e);
             }
@@ -417,8 +399,12 @@ impl BatchDynamic for DecrementalSparsifier {
 }
 
 impl Decremental for DecrementalSparsifier {
+    /// Delete a batch of live G₀ edges; reports the weighted delta
+    /// (weight lane populated).
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_into(deletions, out);
+        self.delete_inner(deletions);
+        self.sparsifier.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
@@ -467,20 +453,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(29);
         live.shuffle(&mut rng);
         let mut shadow: Vec<(Edge, f64)> = s.sparsifier_edges();
+        let mut d = DeltaBuf::new();
         while live.len() > 40 {
             let k = rng.gen_range(1..=20.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - k);
-            let d = s.delete_batch(&batch);
-            for (e, w) in &d.deleted {
+            s.delete_into(&batch, &mut d);
+            for (e, w) in d.deleted_weighted() {
                 let pos = shadow
                     .iter()
-                    .position(|(se, sw)| se == e && sw == w)
+                    .position(|&(se, sw)| se == e && sw == w)
                     .unwrap_or_else(|| panic!("deleted ({e:?},{w}) not in shadow"));
                 shadow.swap_remove(pos);
             }
-            for (e, w) in &d.inserted {
-                shadow.push((*e, *w));
-            }
+            shadow.extend(d.inserted_weighted());
             s.validate();
             let mut got = s.sparsifier_edges();
             got.sort_by_key(|x| x.0);
@@ -501,7 +486,7 @@ mod tests {
         while !live.is_empty() {
             let k = rng.gen_range(1..=15.min(live.len()));
             let batch: Vec<Edge> = live.split_off(live.len() - k);
-            s.delete_batch(&batch);
+            s.delete_into(&batch, &mut DeltaBuf::new());
             s.validate();
         }
         assert_eq!(s.sparsifier_size(), 0);

@@ -8,7 +8,7 @@
 //! sparsifier of itself).
 
 use crate::decremental::DecrementalSparsifier;
-use crate::weighted_set::{WeightedDeltaSet, WeightedSet};
+use crate::weighted_set::WeightedSet;
 use bds_dstruct::{EdgeTable, FxHashMap};
 use bds_graph::api::{
     validate_edges, BatchDynamic, BatchStats, ConfigError, Decremental, DeltaBuf, FullyDynamic,
@@ -109,7 +109,8 @@ impl FullyDynamicSparsifier {
             }
             s.build_slot(j, edges.to_vec());
         }
-        let _ = s.sparsifier.take_delta();
+        // The initial sparsifier is the baseline, not a delta.
+        s.sparsifier.take_delta_into(&mut s.scratch);
         s
     }
 
@@ -170,22 +171,6 @@ impl FullyDynamicSparsifier {
                 d.live_edges()
             }
         }
-    }
-
-    /// Insert a batch of absent edges.
-    pub fn insert_batch(&mut self, inserted: &[Edge]) -> WeightedDeltaSet {
-        self.insert_inner(inserted);
-        let delta = self.sparsifier.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSparsifier::insert_batch`] reporting into a
-    /// caller-owned buffer (weight lane populated).
-    pub fn insert_batch_into(&mut self, inserted: &[Edge], out: &mut DeltaBuf) {
-        self.insert_inner(inserted);
-        self.sparsifier.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
     }
 
     fn insert_inner(&mut self, inserted: &[Edge]) {
@@ -249,41 +234,6 @@ impl FullyDynamicSparsifier {
         }
     }
 
-    /// Delete a batch of present edges.
-    pub fn delete_batch(&mut self, deleted: &[Edge]) -> WeightedDeltaSet {
-        self.delete_inner(deleted);
-        let delta = self.sparsifier.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSparsifier::delete_batch`] reporting into a
-    /// caller-owned buffer (weight lane populated).
-    pub fn delete_batch_into(&mut self, deleted: &[Edge], out: &mut DeltaBuf) {
-        self.delete_inner(deleted);
-        self.sparsifier.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
-    /// Apply one mixed batch (deletions, then insertions) atomically,
-    /// netting across phases through the [`WeightedSet`] baseline.
-    pub fn process_batch(&mut self, batch: &UpdateBatch) -> WeightedDeltaSet {
-        self.delete_inner(&batch.deletions);
-        self.insert_inner(&batch.insertions);
-        let delta = self.sparsifier.take_delta();
-        self.recourse += delta.recourse() as u64;
-        delta
-    }
-
-    /// [`FullyDynamicSparsifier::process_batch`] reporting into a
-    /// caller-owned buffer.
-    pub fn process_batch_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.delete_inner(&batch.deletions);
-        self.insert_inner(&batch.insertions);
-        self.sparsifier.take_delta_into(out);
-        self.recourse += out.recourse() as u64;
-    }
-
     fn delete_inner(&mut self, deleted: &[Edge]) {
         let mut by_slot: FxHashMap<u32, Vec<Edge>> = FxHashMap::default();
         for e in deleted {
@@ -306,7 +256,7 @@ impl FullyDynamicSparsifier {
                 let Slot::Instance(d) = &mut self.slots[slot as usize - 1] else {
                     panic!("indexed slot {slot} empty")
                 };
-                d.delete_batch_into(&edges, &mut scratch);
+                d.delete_into(&edges, &mut scratch);
                 for (e, _) in scratch.deleted_weighted() {
                     self.sparsifier.remove(e);
                 }
@@ -395,18 +345,29 @@ impl BatchDynamic for FullyDynamicSparsifier {
 }
 
 impl Decremental for FullyDynamicSparsifier {
+    /// Delete a batch of present edges (weight lane populated).
     fn delete_into(&mut self, deletions: &[Edge], out: &mut DeltaBuf) {
-        self.delete_batch_into(deletions, out);
+        self.delete_inner(deletions);
+        self.sparsifier.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
 impl FullyDynamic for FullyDynamicSparsifier {
+    /// Insert a batch of absent edges (weight lane populated).
     fn insert_into(&mut self, insertions: &[Edge], out: &mut DeltaBuf) {
-        self.insert_batch_into(insertions, out);
+        self.insert_inner(insertions);
+        self.sparsifier.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 
+    /// Deletions, then insertions, netted across phases through the
+    /// [`WeightedSet`] baseline.
     fn apply_into(&mut self, batch: &UpdateBatch, out: &mut DeltaBuf) {
-        self.process_batch_into(batch, out);
+        self.delete_inner(&batch.deletions);
+        self.insert_inner(&batch.insertions);
+        self.sparsifier.take_delta_into(out);
+        self.recourse += out.recourse() as u64;
     }
 }
 
@@ -433,10 +394,11 @@ mod tests {
         let init = gen::gnm_connected(n, 300, 13);
         let mut s = FullyDynamicSparsifier::new(n, 2, &init, 17);
         let mut stream = UpdateStream::new(n, &init, 19);
+        let mut d = DeltaBuf::new();
         for _ in 0..12 {
             let b = stream.next_batch(10, 8);
-            s.delete_batch(&b.deletions);
-            s.insert_batch(&b.insertions);
+            s.delete_into(&b.deletions, &mut d);
+            s.insert_into(&b.insertions, &mut d);
             s.validate();
             assert_eq!(s.num_live_edges(), stream.live_edges().len());
         }
@@ -449,20 +411,23 @@ mod tests {
         let mut s = FullyDynamicSparsifier::new(n, 2, &init, 29);
         let mut stream = UpdateStream::new(n, &init, 31);
         let mut shadow: Vec<(Edge, f64)> = s.sparsifier_edges();
+        let replay = |d: &DeltaBuf, shadow: &mut Vec<(Edge, f64)>| {
+            for (e, w) in d.deleted_weighted() {
+                let pos = shadow
+                    .iter()
+                    .position(|&(se, sw)| se == e && sw == w)
+                    .unwrap_or_else(|| panic!("missing ({e:?},{w})"));
+                shadow.swap_remove(pos);
+            }
+            shadow.extend(d.inserted_weighted());
+        };
+        let mut d = DeltaBuf::new();
         for _ in 0..10 {
             let b = stream.next_batch(6, 6);
-            for d in [s.delete_batch(&b.deletions), s.insert_batch(&b.insertions)] {
-                for (e, w) in &d.deleted {
-                    let pos = shadow
-                        .iter()
-                        .position(|(se, sw)| se == e && sw == w)
-                        .unwrap_or_else(|| panic!("missing ({e:?},{w})"));
-                    shadow.swap_remove(pos);
-                }
-                for (e, w) in &d.inserted {
-                    shadow.push((*e, *w));
-                }
-            }
+            s.delete_into(&b.deletions, &mut d);
+            replay(&d, &mut shadow);
+            s.insert_into(&b.insertions, &mut d);
+            replay(&d, &mut shadow);
             let mut got = s.sparsifier_edges();
             got.sort_by_key(|x| x.0);
             shadow.sort_by_key(|x| x.0);

@@ -15,6 +15,6 @@ pub mod decremental;
 pub mod fully_dynamic;
 pub mod weighted_set;
 
-pub use decremental::{DecrementalSparsifier, DecrementalSparsifierBuilder, WeightedDelta};
+pub use decremental::{DecrementalSparsifier, DecrementalSparsifierBuilder};
 pub use fully_dynamic::{FullyDynamicSparsifier, FullyDynamicSparsifierBuilder};
-pub use weighted_set::{WeightedDeltaSet, WeightedSet};
+pub use weighted_set::WeightedSet;

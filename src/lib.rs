@@ -12,6 +12,8 @@
 //! capability split mirrors the paper: every structure implements
 //! [`Decremental`] (batch deletions); the fully-dynamic reductions also
 //! implement [`FullyDynamic`] (batch insertions and mixed batches).
+//! These traits are the only way to drive a batch; no structure keeps a
+//! second, allocating batch method beside them.
 //!
 //! | Structure | Paper | Capability | Maintains |
 //! |---|---|---|---|
@@ -287,7 +289,7 @@ pub mod prelude {
         ReshardStats, ShardedEngine, ShardedEngineBuilder, ShardedView, VertexRangePartitioner,
         DEFAULT_SKEW_THRESHOLD,
     };
-    pub use bds_graph::types::{Edge, SpannerDelta, UpdateBatch, V};
+    pub use bds_graph::types::{Edge, UpdateBatch, V};
     pub use bds_graph::wal::{
         FollowerView, FsyncPolicy, RecoverError, Recovered, Snapshot, WalConfig, WalWriter,
     };

@@ -3,8 +3,8 @@
 //! The unified API's contract: once the caller-owned [`DeltaBuf`] and
 //! the delta-tracking baselines have warmed up, the steady-state delta
 //! path — membership bookkeeping plus `take_delta_into` — performs no
-//! heap allocations at all, and the buffer-reporting batch loop
-//! allocates strictly less than the legacy materializing loop.
+//! heap allocations at all, and a full engine batch loop stays under an
+//! absolute allocation bound.
 //!
 //! All assertions live in ONE test function and diff the *per-thread*
 //! allocation counter: the process-global counter picks up stray
@@ -99,10 +99,15 @@ fn delta_path_is_allocation_free_after_warmup() {
         "WeightedSet delta path allocated after warm-up"
     );
 
-    // --- 3. End-to-end: the buffer-reporting batch loop allocates
-    //        strictly less than the legacy materializing loop on an
-    //        identical schedule (twin structures, same seeds). ---
+    // --- 3. End-to-end: the FullyDynamicSpanner `apply_into` batch
+    //        loop stays under an absolute allocation bound. The bound
+    //        is the count measured on this schedule (identical in debug,
+    //        release and a 4-worker pool) once the wrapper sorts, splits
+    //        and groups its batches in reused scratch; it was 745 before.
+    //        What remains is batch generation and the decremental slots'
+    //        per-batch work queues. ---
     use bds_graph::stream::UpdateStream;
+    const APPLY_LOOP_ALLOC_BOUND: u64 = 566;
     let n = 200;
     let init = gen::gnm_connected(n, 800, 5);
     let mut a = FullyDynamicSpanner::builder(n)
@@ -110,40 +115,25 @@ fn delta_path_is_allocation_free_after_warmup() {
         .seed(77)
         .build(&init)
         .unwrap();
-    let mut b = FullyDynamicSpanner::builder(n)
-        .stretch(2)
-        .seed(77)
-        .build(&init)
-        .unwrap();
-    let mut stream_a = UpdateStream::new(n, &init, 31);
-    let mut stream_b = UpdateStream::new(n, &init, 31);
-    // Warm-up both.
+    let mut stream = UpdateStream::new(n, &init, 31);
     for _ in 0..5 {
-        let batch = stream_a.next_batch(20, 20);
+        let batch = stream.next_batch(20, 20);
         a.apply_into(&batch, &mut buf);
-        let batch = stream_b.next_batch(20, 20);
-        let _ = b.process_batch(&batch);
     }
     let rounds = 30;
     let before = allocs();
-    let mut recourse_buffered = 0usize;
+    let mut recourse = 0usize;
     for _ in 0..rounds {
-        let batch = stream_a.next_batch(20, 20);
+        let batch = stream.next_batch(20, 20);
         a.apply_into(&batch, &mut buf);
-        recourse_buffered += buf.recourse();
+        recourse += buf.recourse();
     }
-    let buffered = allocs() - before;
-    let before = allocs();
-    let mut recourse_legacy = 0usize;
-    for _ in 0..rounds {
-        let batch = stream_b.next_batch(20, 20);
-        recourse_legacy += b.process_batch(&batch).recourse();
-    }
-    let legacy = allocs() - before;
-    assert_eq!(recourse_buffered, recourse_legacy, "twin runs diverged");
+    let apply_loop = allocs() - before;
+    assert!(recourse > 0, "the schedule must change the spanner");
     assert!(
-        buffered < legacy,
-        "buffer path must allocate strictly less: {buffered} vs {legacy}"
+        apply_loop <= APPLY_LOOP_ALLOC_BOUND,
+        "apply_into loop allocated {apply_loop} times in {rounds} rounds \
+         (bound {APPLY_LOOP_ALLOC_BOUND})"
     );
 
     // --- 4. ShardedEngine: the merged delta path — scatter into
